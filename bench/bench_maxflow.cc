@@ -1,11 +1,13 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Experiment E3: the max-flow substrate. Compares the four bundled
-// solvers on (a) the classification networks Theorem 4 actually builds
-// and (b) adversarial layered networks, checking they agree on the flow
-// value and reporting wall-clock times. The paper cites Goldberg-Tarjan
-// [14] for T_maxflow = O(n^3); Dinic is our default (see DESIGN.md).
+// Experiment E3: the max-flow substrate. Compares the two bundled
+// solvers -- Dinic (production) and Edmonds-Karp (reference) -- on (a)
+// the classification networks Theorem 4 actually builds and (b)
+// adversarial layered networks, checking they agree on the flow value
+// and reporting wall-clock times. Theorem 4 holds for any maximum-flow
+// algorithm; the paper cites Goldberg-Tarjan [14] only to bound
+// T_maxflow.
 
 #include <iostream>
 
@@ -82,8 +84,8 @@ FlowNetwork BuildLayeredNetwork(Rng& rng, int layers, int width, int* source,
 void Run() {
   bench::PrintHeader(
       "E3", "max-flow substrate ([14] in the paper)",
-      "all four solvers agree; relative performance on the Theorem 4 "
-      "classification networks and on dense layered networks");
+      "Dinic and Edmonds-Karp agree; relative performance on the "
+      "Theorem 4 classification networks and on dense layered networks");
 
   bench::PrintSection("classification networks (planted, 2% noise, d=2)");
   {

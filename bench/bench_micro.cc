@@ -112,8 +112,12 @@ void BM_MaxFlowSolver(benchmark::State& state) {
   }
   state.SetLabel(solver->Name());
 }
+// The second argument indexes AllMaxFlowAlgorithms().
 BENCHMARK(BM_MaxFlowSolver)
-    ->ArgsProduct({{32, 96}, {0, 1, 2, 3}});
+    ->ArgsProduct(
+        {{32, 96},
+         benchmark::CreateDenseRange(
+             0, static_cast<int64_t>(AllMaxFlowAlgorithms().size()) - 1, 1)});
 
 void BM_ThresholdIndexActivate(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));

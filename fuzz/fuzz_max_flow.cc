@@ -5,8 +5,8 @@
 //
 // Decodes an arbitrary small directed network (parallel edges,
 // self-loops, edges into the source and out of the sink all allowed --
-// a correct solver must tolerate every shape) and solves it with all
-// four backends. Every backend must agree on the flow value, satisfy
+// a correct solver must tolerate every shape) and solves it with both
+// backends. Each backend must agree on the flow value, satisfy
 // the Section 2 flow axioms (AuditFlowConservation), produce a
 // residual-reachability cut whose weight equals the flow
 // (AuditMinCut, Lemmas 7-8), and match MinCutWeight.

@@ -7,7 +7,6 @@
 
 #include "graph/dinic.h"
 #include "graph/edmonds_karp.h"
-#include "graph/push_relabel.h"
 
 namespace monoclass {
 
@@ -18,21 +17,13 @@ std::unique_ptr<MaxFlowSolver> CreateMaxFlowSolver(
       return std::make_unique<EdmondsKarpSolver>();
     case MaxFlowAlgorithm::kDinic:
       return std::make_unique<DinicSolver>();
-    case MaxFlowAlgorithm::kPushRelabelFifo:
-      return std::make_unique<PushRelabelSolver>(
-          PushRelabelSolver::SelectionRule::kFifo);
-    case MaxFlowAlgorithm::kPushRelabelHighest:
-      return std::make_unique<PushRelabelSolver>(
-          PushRelabelSolver::SelectionRule::kHighestLabel);
   }
   MC_CHECK(false) << "unknown MaxFlowAlgorithm";
   return nullptr;
 }
 
 std::vector<MaxFlowAlgorithm> AllMaxFlowAlgorithms() {
-  return {MaxFlowAlgorithm::kEdmondsKarp, MaxFlowAlgorithm::kDinic,
-          MaxFlowAlgorithm::kPushRelabelFifo,
-          MaxFlowAlgorithm::kPushRelabelHighest};
+  return {MaxFlowAlgorithm::kEdmondsKarp, MaxFlowAlgorithm::kDinic};
 }
 
 std::vector<bool> ResidualReachable(const FlowNetwork& network, int source) {

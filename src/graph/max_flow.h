@@ -45,10 +45,8 @@ class MaxFlowSolver {
 
 // Identifiers for the bundled solver implementations.
 enum class MaxFlowAlgorithm {
-  kEdmondsKarp,        // BFS augmenting paths, O(VE^2)
-  kDinic,              // level graph + blocking flow, O(V^2 E)
-  kPushRelabelFifo,    // Goldberg-Tarjan FIFO, O(V^3)
-  kPushRelabelHighest, // Goldberg-Tarjan highest-label, O(V^2 sqrt(E))
+  kEdmondsKarp,  // BFS augmenting paths, O(VE^2); the reference
+  kDinic,        // level graph + blocking flow, O(V^2 E); production
 };
 
 // Factory. kDinic is the library default (best all-round on the

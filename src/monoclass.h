@@ -77,7 +77,6 @@
 #include "graph/matching.h"
 #include "graph/max_flow.h"
 #include "graph/path_cover.h"
-#include "graph/push_relabel.h"
 
 // Utilities: invariant auditing, deterministic randomness, experiment
 // bookkeeping.

@@ -3,6 +3,7 @@
 
 #include "net/server.h"
 
+#include <string>
 #include <utility>
 
 #include "net/wire.h"
@@ -175,6 +176,13 @@ bool Server::HandleFrame(Connection* connection, const Frame& frame) {
           const PassiveSolveRequest request =
               PassiveSolveRequest::Unserialize(in);
           in.ExpectEnd();
+          // The wire enum is open; refuse a solver this server lacks
+          // rather than answer with a different one.
+          if (request.algorithm !=
+              static_cast<uint8_t>(WireSolverAlgorithm::kFlowExact)) {
+            throw WireError("unknown passive algorithm " +
+                            std::to_string(request.algorithm));
+          }
           MC_COUNTER("mc.srv.passive_solves", 1);
           WeightedPointSet weighted;
           for (size_t i = 0; i < request.points.size(); ++i) {

@@ -6,7 +6,7 @@
 // with deterministic ParallelFor / ParallelForEach helpers.
 //
 // Raw std::thread / std::mutex / std::condition_variable / std::async
-// are banned everywhere else in the tree (tools/lint.sh rule 6): code
+// are banned everywhere else in the tree (mc_lint rule MC006): code
 // that locks through this layer is checkable by clang's thread-safety
 // analysis (util/thread_annotations.h), so a forgotten lock is a compile
 // error under clang, not a TSan report three CI stages later.

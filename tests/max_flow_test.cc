@@ -1,9 +1,10 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Unit and property tests for the four max-flow solvers and the min-cut
-// extraction: hand-computed instances, cross-solver agreement, agreement
-// with a brute-force minimum cut (max-flow min-cut theorem, Lemma 7), and
+// Unit and property tests for the two max-flow solvers (Dinic in
+// production, Edmonds-Karp as the reference) and the min-cut extraction:
+// hand-computed instances, cross-solver agreement, agreement with a
+// brute-force minimum cut (max-flow min-cut theorem, Lemma 7), and
 // flow-validity audits.
 
 #include "graph/max_flow.h"
@@ -233,9 +234,9 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-// Cross-solver stress: all four algorithms must agree on medium-size
-// random networks (too big for the brute-force cut, so Dinic serves as
-// the reference and the others must match it exactly).
+// Cross-solver stress: both algorithms must agree on medium-size random
+// networks (too big for the brute-force cut, so Edmonds-Karp serves as
+// the reference and Dinic must match it exactly).
 TEST(MaxFlowCrossSolverTest, AllSolversAgreeOnMediumGraphs) {
   Rng rng(0x600d);
   for (int trial = 0; trial < 12; ++trial) {
@@ -260,7 +261,7 @@ TEST(MaxFlowCrossSolverTest, AllSolversAgreeOnMediumGraphs) {
 
 TEST(MaxFlowCrossSolverTest, AgreeOnNearlyDisconnectedGraphs) {
   // Sparse graphs where the sink is often unreachable exercise the
-  // zero-flow and gap-heuristic paths.
+  // zero-flow paths.
   Rng rng(0xdead);
   for (int trial = 0; trial < 20; ++trial) {
     const FlowInstance instance = RandomFlowInstance(rng, 40, 30, 10.0);
@@ -279,7 +280,9 @@ TEST(MaxFlowCrossSolverTest, AgreeOnNearlyDisconnectedGraphs) {
 }
 
 TEST(MaxFlowFactoryTest, AllAlgorithmsEnumerated) {
-  EXPECT_EQ(AllMaxFlowAlgorithms().size(), 4u);
+  EXPECT_EQ(AllMaxFlowAlgorithms(),
+            (std::vector<MaxFlowAlgorithm>{MaxFlowAlgorithm::kEdmondsKarp,
+                                           MaxFlowAlgorithm::kDinic}));
 }
 
 TEST(MaxFlowFactoryTest, NamesAreDistinct) {

@@ -192,6 +192,27 @@ TEST_F(ServerTest, MalformedPayloadGetsErrorReply) {
   raw.Close();
 }
 
+TEST_F(ServerTest, UnknownPassiveAlgorithmGetsErrorReply) {
+  // The wire decodes `algorithm` as an open enum, so this request is
+  // well-formed; the server must refuse the solver it lacks instead of
+  // answering with the flow solver.
+  const LabeledPointSet instance = MakeInstance(20, 3);
+  PassiveSolveRequest request;
+  request.points = instance.points();
+  request.labels = instance.labels();
+  request.algorithm = 1;
+  try {
+    client_.PassiveSolve(request);
+    FAIL() << "expected WireError";
+  } catch (const WireError& error) {
+    const std::string expected =
+        "server error " +
+        std::to_string(static_cast<uint32_t>(WireErrorCode::kBadRequest)) +
+        ": unknown passive algorithm 1";
+    EXPECT_EQ(std::string(error.what()), expected);
+  }
+}
+
 TEST_F(ServerTest, StatsReportServerCounters) {
   // Counters only record when obs is on (monoclassd enables it at boot).
   obs::SetEnabled(true);

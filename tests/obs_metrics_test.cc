@@ -188,7 +188,7 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesDoNotRace) {
   constexpr int kThreads = 4;
   constexpr int kIters = 10000;
   // Concurrent updaters via the library's own pool (raw standard-library
-  // threads are banned outside util/concurrency; tools/lint.sh rule 6).
+  // threads are banned outside util/concurrency; mc_lint rule MC006).
   ParallelForEach(kThreads, ParallelOptions{.threads = kThreads},
                   [&](size_t) {
                     for (int i = 0; i < kIters; ++i) {

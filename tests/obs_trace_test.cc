@@ -124,7 +124,7 @@ TEST_F(TraceTest, ChromeTraceIsValidJson) {
 TEST_F(TraceTest, MultiThreadedSpansKeepPerThreadBalance) {
   // Four concurrent emitters via the library's own pool (raw
   // standard-library threads are banned outside util/concurrency;
-  // tools/lint.sh rule 6).
+  // mc_lint rule MC006).
   ParallelForEach(4, ParallelOptions{.threads = 4}, [](size_t) {
     for (int i = 0; i < 100; ++i) {
       Span outer("mt/outer");

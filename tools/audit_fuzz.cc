@@ -7,7 +7,7 @@
 // planted classifiers with noise, or staircase chain instances) and
 // cross-validates the solver stack:
 //
-//   * all four max-flow backends must agree on the optimal weighted error,
+//   * both max-flow backends must agree on the optimal weighted error,
 //     and each solved network must pass AuditMinCut (Lemmas 7/8/18);
 //   * the flow solver must match the exponential brute-force solver on
 //     small inputs;

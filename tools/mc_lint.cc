@@ -1,16 +1,16 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// mc_lint: the repo-convention contract checker.
+// mc_lint: the repo-convention contract checker and the repo's one lint
+// entry point.
 //
-// Replaces the historical grep rules of tools/lint.sh with a tokenizing
-// analyzer: comments, string literals and raw strings are lexed away
-// before any rule runs, so a banned token in a diagnostic message or a
-// code sample in a comment can no longer trip (or hide) a rule, and the
-// two contract rules that need structure -- deterministic iteration
-// inside ParallelFor bodies, audit-hook reachability from the public
-// solver entry points -- run on a real token stream and a name-level
-// call graph instead of line regexes.
+// A tokenizing analyzer: comments, string literals and raw strings are
+// lexed away before any rule runs, so a banned token in a diagnostic
+// message or a code sample in a comment can no longer trip (or hide) a
+// rule, and the two contract rules that need structure -- deterministic
+// iteration inside ParallelFor bodies, audit-hook reachability from the
+// public solver entry points -- run on a real token stream and a
+// name-level call graph instead of line regexes.
 //
 // Rule catalog (docs/static_analysis.md keeps the prose version):
 //
@@ -63,8 +63,8 @@
 //
 // Usage: mc_lint [REPO_ROOT]
 //   REPO_ROOT defaults to the current directory. Only standard C++ is
-//   used -- tools/lint.sh compiles this file on demand when no built
-//   binary is around, so it must stay a single self-contained TU.
+//   used -- tools/mc_lint_test.sh compiles this file on demand when no
+//   built binary is around, so it must stay a single self-contained TU.
 
 #include <algorithm>
 #include <cctype>

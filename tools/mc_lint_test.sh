@@ -3,12 +3,8 @@
 # containing one deliberate violation per rule and asserts that mc_lint
 # reports exactly that rule id (machine-readable "[MCxxx]" tag) at a
 # plausible location -- plus negative cases proving the tokenizer does
-# not fire on comments, strings, or sanctioned files.
-#
-# Complements tools/lint_test.sh, which checks the legacy diagnostic
-# fragments through the lint.sh wrapper; this suite pins the rule ids
-# and the new structural rules (MC007 determinism, MC008 obs naming,
-# MC009 audit coverage).
+# not fire on comments, strings, or sanctioned files. Where a rule's
+# message text matters to a reader, the case also pins a fragment of it.
 set -u
 
 script_dir="$(cd "$(dirname "$0")" && pwd)"
@@ -54,13 +50,16 @@ make_clean_tree() {
 }
 
 expect_rule() {
-  # $1 = description, $2 = rule id that must appear
+  # $1 = description, $2 = rule id that must appear,
+  # $3 = optional diagnostic fragment that must appear as well
   out="$("$mc_lint" "$tmp/tree" 2>&1)"
   rc=$?
   if [ "$rc" -eq 0 ]; then
     fail "expected [$2] for $1, mc_lint said OK"
   elif ! printf '%s' "$out" | grep -qF "[$2]"; then
     fail "expected [$2] for $1, got:"$'\n'"$out"
+  elif [ -n "${3:-}" ] && ! printf '%s' "$out" | grep -qF "$3"; then
+    fail "[$2] for $1 missing diagnostic '$3', got:"$'\n'"$out"
   fi
 }
 
@@ -79,22 +78,23 @@ expect_clean "a clean tree"
 # --- MC001: license header ----------------------------------------------
 make_clean_tree
 sed -i '1,2d' "$tmp/tree/src/util/good.h"
-expect_rule "a header without the license banner" MC001
+expect_rule "a header without the license banner" MC001 "missing Copyright"
 
 # --- MC002: include guard -----------------------------------------------
 make_clean_tree
 header_boilerplate MONOCLASS_WRONG_GUARD_H_ > "$tmp/tree/src/util/good.h"
-expect_rule "a header with a wrong include guard" MC002
+expect_rule "a header with a wrong include guard" MC002 \
+  "missing '#ifndef MONOCLASS_UTIL_GOOD_H_'"
 
 # --- MC003: banned tokens -----------------------------------------------
 make_clean_tree
 printf '\nvoid Check(int x) { assert(x > 0); }\n' >> "$tmp/tree/src/util/good.h"
-expect_rule "library code calling naked assert()" MC003
+expect_rule "library code calling naked assert()" MC003 "naked assert()"
 
 make_clean_tree
 sed -i 's/int kNothing = 0;/inline int Draw() { return rand(); }/' \
   "$tmp/tree/src/util/good.h"
-expect_rule "library code calling rand()" MC003
+expect_rule "library code calling rand()" MC003 "rand()/srand()"
 
 # Negative: the tokenizer must NOT fire on banned tokens inside comments
 # or string literals (the regex rules could not tell the difference).
@@ -112,27 +112,34 @@ expect_clean "library code using static_assert"
 # --- MC004: umbrella closure --------------------------------------------
 make_clean_tree
 header_boilerplate MONOCLASS_UTIL_ORPHAN_H_ > "$tmp/tree/src/util/orphan.h"
-expect_rule "a public header missing from the umbrella" MC004
+expect_rule "a public header missing from the umbrella" MC004 \
+  "not reachable from the src/monoclass.h umbrella"
 
 # --- MC005: clock discipline --------------------------------------------
 make_clean_tree
 sed -i 's/int kNothing = 0;/inline double Now() { return std::chrono::steady_clock::now().time_since_epoch().count(); }/' \
   "$tmp/tree/src/util/good.h"
-expect_rule "library code reading steady_clock directly" MC005
+expect_rule "library code reading steady_clock directly" MC005 \
+  "raw steady_clock::now()"
 
 make_clean_tree
+mkdir -p "$tmp/tree/src/obs"
 header_boilerplate MONOCLASS_UTIL_TIMER_H_ > "$tmp/tree/src/util/timer.h"
 sed -i 's/int kNothing = 0;/inline double Now() { return std::chrono::steady_clock::now().time_since_epoch().count(); }/' \
   "$tmp/tree/src/util/timer.h"
-sed -i 's|#include "util/good.h"|#include "util/good.h"\n#include "util/timer.h"|' \
+header_boilerplate MONOCLASS_OBS_TRACE_H_ > "$tmp/tree/src/obs/trace.h"
+sed -i 's/int kNothing = 0;/inline double Now2() { return std::chrono::steady_clock::now().time_since_epoch().count(); }/' \
+  "$tmp/tree/src/obs/trace.h"
+sed -i 's|#include "util/good.h"|#include "util/good.h"\n#include "util/timer.h"\n#include "obs/trace.h"|' \
   "$tmp/tree/src/monoclass.h"
-expect_clean "steady_clock::now() inside util/timer.h"
+expect_clean "steady_clock::now() inside util/timer.h and src/obs/"
 
 # --- MC006: concurrency discipline --------------------------------------
 make_clean_tree
 sed -i 's/int kNothing = 0;/inline std::mutex g_mu;/' \
   "$tmp/tree/src/util/good.h"
-expect_rule "library code declaring a raw std::mutex" MC006
+expect_rule "library code declaring a raw std::mutex" MC006 \
+  "raw standard-library concurrency primitive"
 
 # Covers tests/ too, and std::this_thread stays allowed.
 make_clean_tree
@@ -281,7 +288,7 @@ sed -i 's/int kNothing = 0;/inline void Op() { MC_COUNTER("maxflow..pushes", 1);
 expect_rule "an MC_COUNTER name with an empty segment" MC008
 
 make_clean_tree
-sed -i 's/int kNothing = 0;/inline void Op() { MC_SPAN("passive\/solve"); MC_COUNTER("maxflow.pr.pushes", 1); }/' \
+sed -i 's/int kNothing = 0;/inline void Op() { MC_SPAN("passive\/solve"); MC_COUNTER("maxflow.dinic.phases", 1); }/' \
   "$tmp/tree/src/util/good.h"
 expect_clean "conventional span and counter names"
 
