@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,8 @@ Point RandomUnitPoint(Rng& rng, size_t d) {
   return Point(std::move(coords));
 }
 
-void Run(bool ci) {
+// Returns false when a span was still open as the trace was written.
+bool Run(bool ci) {
   const std::string id = ci ? "INC_CI" : "INC";
   const size_t n = ci ? 20000 : 100000;
   const size_t num_deltas = ci ? 2000 : 10000;
@@ -62,11 +64,14 @@ void Run(bool ci) {
   Rng rng(seed + 1);
 
   bench::PrintSection("bulk load (one cold solve at n)");
-  obs::SpanTimer load_timer("bench/bulk_load");
+  // Every span ends before Finish() writes the trace: the optional lets
+  // the load span close while the solver it timed lives on.
+  std::optional<obs::SpanTimer> load_timer(std::in_place, "bench/bulk_load");
   IncrementalPassiveSolver solver(
       WeightedPointSet::UnitWeights(instance.data));
   const PassiveSolveResult& loaded = solver.Solve();
-  const double load_seconds = load_timer.ElapsedMillis() * 1e-3;
+  const double load_seconds = load_timer->ElapsedMillis() * 1e-3;
+  load_timer.reset();
   {
     TextTable table({"n", "contending", "chains", "relays", "k*", "load-s"});
     table.AddRowValues(
@@ -100,28 +105,31 @@ void Run(bool ci) {
   live.reserve(n + num_deltas);
   for (size_t id_ = 0; id_ < n; ++id_) live.push_back(id_);
   const size_t extract_every = std::max<size_t>(1, num_deltas / 10);
-  obs::SpanTimer stream_timer("bench/delta_stream");
-  for (size_t i = 0; i < num_deltas; ++i) {
-    const uint64_t op = rng.UniformInt(10);
-    if (op < 4 || live.empty()) {
-      const Point point = RandomUnitPoint(rng, d);
-      // Planted label with the instance's noise rate, so the contending
-      // set stays serving-shaped instead of exploding.
-      Label label = instance.planted.Classify(point) ? 1 : 0;
-      if (rng.Bernoulli(0.01)) label = 1 - label;
-      live.push_back(solver.Insert(point, label));
-    } else if (op < 7) {
-      const size_t slot = rng.UniformInt(live.size());
-      solver.Erase(live[slot]);
-      live[slot] = live.back();
-      live.pop_back();
-    } else {
-      const size_t slot = rng.UniformInt(live.size());
-      solver.Relabel(live[slot], rng.Bernoulli(0.5) ? 1 : 0);
+  double stream_seconds = 0.0;
+  {
+    obs::SpanTimer stream_timer("bench/delta_stream");
+    for (size_t i = 0; i < num_deltas; ++i) {
+      const uint64_t op = rng.UniformInt(10);
+      if (op < 4 || live.empty()) {
+        const Point point = RandomUnitPoint(rng, d);
+        // Planted label with the instance's noise rate, so the contending
+        // set stays serving-shaped instead of exploding.
+        Label label = instance.planted.Classify(point) ? 1 : 0;
+        if (rng.Bernoulli(0.01)) label = 1 - label;
+        live.push_back(solver.Insert(point, label));
+      } else if (op < 7) {
+        const size_t slot = rng.UniformInt(live.size());
+        solver.Erase(live[slot]);
+        live[slot] = live.back();
+        live.pop_back();
+      } else {
+        const size_t slot = rng.UniformInt(live.size());
+        solver.Relabel(live[slot], rng.Bernoulli(0.5) ? 1 : 0);
+      }
+      if ((i + 1) % extract_every == 0) solver.Solve();
     }
-    if ((i + 1) % extract_every == 0) solver.Solve();
+    stream_seconds = stream_timer.ElapsedMillis() * 1e-3;
   }
-  const double stream_seconds = stream_timer.ElapsedMillis() * 1e-3;
   const double updates_per_sec =
       static_cast<double>(num_deltas) / stream_seconds;
   const double cold_per_sec = 1.0 / cold_seconds;
@@ -193,7 +201,7 @@ void Run(bool ci) {
                        stats.rebuilds);
     bench::PrintTable(table);
   }
-  bench::BenchReport::Global().Finish();
+  return bench::BenchReport::Global().Finish();
 }
 
 }  // namespace
@@ -211,6 +219,5 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  monoclass::Run(ci);
-  return 0;
+  return monoclass::Run(ci) ? 0 : 1;
 }

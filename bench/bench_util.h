@@ -9,9 +9,10 @@
 // machine-readable report, BENCH_<id>.json, into $MONOCLASS_BENCH_OUT
 // (or the working directory): per-phase wall time, per-phase counter
 // deltas, a final metrics snapshot and a run manifest (git SHA, build
-// type, obs state). When tracing is active (MONOCLASS_TRACE=1) a
-// Chrome-trace file TRACE_<id>.json is written next to it. Pretty-print
-// or schema-validate either file with tools/mc_report.
+// type, obs state). With MONOCLASS_TRACE=1 the run's whole flight-event
+// stream is captured and written next to it as the Chrome-trace file
+// TRACE_<id>.json. Pretty-print or schema-validate either file with
+// tools/mc_report.
 
 #ifndef MONOCLASS_BENCH_BENCH_UTIL_H_
 #define MONOCLASS_BENCH_BENCH_UTIL_H_
@@ -61,6 +62,7 @@ class BenchReport {
     manifest_ = MakeRunManifest(id, artifact, claim);
     started_ = true;
     finished_ = false;
+    open_spans_ = 0;
     phases_.clear();
   }
 
@@ -83,10 +85,13 @@ class BenchReport {
   // (manifest "threads"; defaults to the machine's resolved count).
   void SetThreads(size_t threads) { manifest_.threads = threads; }
 
-  // Writes BENCH_<id>.json (and TRACE_<id>.json when tracing is active).
-  // Idempotent; called automatically at process exit.
-  void Finish() {
-    if (!started_ || finished_) return;
+  // Writes BENCH_<id>.json (and TRACE_<id>.json when the flight capture
+  // is on). Idempotent; called automatically at process exit. Returns
+  // false when a span was still open as the trace was written -- the
+  // trace closes it at its thread's last event, so its duration is made
+  // up -- so a bench that calls Finish() itself can fail its run.
+  bool Finish() {
+    if (!started_ || finished_) return open_spans_ == 0;
     finished_ = true;
     CloseCurrentPhase();
     // Flush the live-telemetry writer first (no-op when --telemetry-dump
@@ -98,10 +103,19 @@ class BenchReport {
       std::ofstream out(base + "/BENCH_" + manifest_.experiment + ".json");
       if (out) WriteJson(out);
     }
-    if (obs::TracingActive()) {
-      std::ofstream out(base + "/TRACE_" + manifest_.experiment + ".json");
-      if (out) obs::WriteChromeTrace(out);
+    if (obs::FlightCaptureActive()) {
+      const std::string trace = "TRACE_" + manifest_.experiment + ".json";
+      std::ofstream out(base + "/" + trace);
+      if (out) {
+        open_spans_ =
+            obs::WriteFlightChromeTrace(obs::SnapshotFlightCapture(), out);
+      }
+      if (open_spans_ > 0) {
+        std::cerr << "WARNING: " << open_spans_ << " span(s) still open when "
+                  << trace << " was written\n";
+      }
     }
+    return open_spans_ == 0;
   }
 
   void WriteJson(std::ostream& out) {
@@ -128,7 +142,8 @@ class BenchReport {
     }
     out << "],\"metrics\":";
     obs::MetricsRegistry::Global().WriteJson(out);
-    out << ",\"dropped_spans\":" << obs::DroppedSpans() << "}\n";
+    // Keeps its schema-v3 name; counts the events the capture refused.
+    out << ",\"dropped_spans\":" << obs::FlightCaptureDropped() << "}\n";
   }
 
  private:
@@ -162,6 +177,7 @@ class BenchReport {
   bool started_ = false;
   bool in_phase_ = false;
   bool finished_ = false;
+  size_t open_spans_ = 0;  // spans the trace had to close at Finish()
 };
 
 // Parses the telemetry flags every bench harness shares:

@@ -93,8 +93,9 @@ void Server::Stop() {
     stop_requested_ = true;
     state_cv_.NotifyAll();
   }
-  listener_.Close();
+  listener_.Shutdown();
   if (acceptor_.joinable()) acceptor_.join();
+  listener_.Close();
   std::vector<std::unique_ptr<Connection>> connections;
   {
     MutexLock lock(conn_mu_);

@@ -132,11 +132,13 @@ Socket Listener::Accept() {
   }
 }
 
+void Listener::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::Close() {
   if (fd_ >= 0) {
-    // shutdown first so a concurrent Accept returns instead of keeping
-    // the (now stale) descriptor blocked.
-    ::shutdown(fd_, SHUT_RDWR);
+    Shutdown();
     ::close(fd_);
     fd_ = -1;
   }

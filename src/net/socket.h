@@ -74,10 +74,12 @@ class Listener {
   bool valid() const { return fd_ >= 0; }
   uint16_t port() const { return port_; }
 
-  // Blocks for the next connection; invalid Socket once closed.
+  // Blocks for the next connection; invalid Socket once shut down.
   Socket Accept();
 
-  // Closing from another thread unblocks Accept.
+  // Unblocks an Accept on another thread without closing the descriptor
+  // it reads; Close() once that thread is done.
+  void Shutdown();
   void Close();
 
  private:

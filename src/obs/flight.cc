@@ -8,7 +8,6 @@
 #include <istream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <string_view>
 #include <tuple>
 
@@ -27,9 +26,18 @@ mc::atomic<bool> g_flight_active{false};
 namespace {
 
 using internal::kFlightRingSlots;
+using internal::kMaxCapturedEvents;
 
 static_assert((kFlightRingSlots & (kFlightRingSlots - 1)) == 0,
               "ring size must be a power of two");
+
+mc::atomic<bool> g_capture_active{false};
+// Events offered to each capture budget since the last reset, ends
+// included; an event offered past kMaxCapturedEvents was refused unless
+// it was the end of a captured begin.
+mc::atomic<uint64_t> g_span_events_offered{0};
+mc::atomic<uint64_t> g_other_events_offered{0};
+mc::atomic<uint64_t> g_capture_dropped{0};
 
 // One ring slot under a per-slot seqlock. seq == 0: never written;
 // odd: write in progress; even 2k+2: holds the payload of logical write
@@ -44,13 +52,21 @@ struct Slot {
 };
 
 struct FlightRing {
-  uint32_t tid = 0;
+  uint32_t tid = 0;  // owner's CurrentThreadId(); set under Rings().mu
+  // Stored true (release) by the owner's thread exit; a claimant reads
+  // it (acquire) under Rings().mu, so everything the departed owner
+  // wrote -- slots and `captured` -- happens-before the new owner's use.
+  mc::atomic<bool> free{false};
   mc::atomic<uint64_t> head{0};  // events ever written to this ring
   Slot slots[kFlightRingSlots];
+  // Capture log of every thread that has owned this ring, in record
+  // order. Written only by the current owner; kept across reuse, so a
+  // departed owner's events stay ahead of the next owner's.
+  std::vector<FlightEvent> captured;
 };
 
-// Every ring ever created, for snapshots. Rings are leaked (never
-// removed) so a snapshot taken after a thread exits still sees its tail.
+// Every ring ever created. Rings are never removed: an exited thread's
+// ring waits, marked free, for the next thread that needs one.
 struct RingRegistry {
   Mutex mu;
   std::vector<FlightRing*> rings MC_GUARDED_BY(mu);
@@ -61,16 +77,80 @@ RingRegistry& Rings() {
   return *registry;
 }
 
-FlightRing* ThisThreadRing() {
-  thread_local FlightRing* ring = [] {
-    auto* created = new FlightRing();  // leaked: see RingRegistry
-    created->tid = CurrentThreadId();
-    RingRegistry& registry = Rings();
-    MutexLock lock(registry.mu);
-    registry.rings.push_back(created);
-    return created;
-  }();
+void ClearRing(FlightRing& ring) {
+  ring.head.store(0, mc::memory_order_relaxed);
+  for (Slot& slot : ring.slots) slot.seq.store(0, mc::memory_order_relaxed);
+}
+
+// The calling thread's ring; null until its first event.
+thread_local FlightRing* t_ring = nullptr;
+
+// Hands the calling thread's ring back at thread exit with one release
+// store and nothing else: a model thread's thread_local destructors run
+// after it has left its execution, where mc::Mutex takes the real mutex
+// while another thread may hold Rings().mu only logically, so this path
+// must neither lock the registry nor touch its vector.
+struct RingRelease {
+  ~RingRelease() {
+    t_ring->free.store(true, mc::memory_order_release);
+    t_ring = nullptr;
+  }
+};
+
+FlightRing* ClaimRing() {
+  RingRegistry& registry = Rings();
+  MutexLock lock(registry.mu);
+  FlightRing* ring = nullptr;
+  for (FlightRing* candidate : registry.rings) {
+    if (candidate->free.load(mc::memory_order_acquire)) {
+      ring = candidate;
+      ring->free.store(false, mc::memory_order_relaxed);
+      ClearRing(*ring);
+      break;
+    }
+  }
+  if (ring == nullptr) {
+    ring = new FlightRing();
+    registry.rings.push_back(ring);
+  }
+  ring->tid = CurrentThreadId();
   return ring;
+}
+
+// A thread recording again from a later thread_local destructor claims
+// a ring it never hands back; the registry stays correct, only that
+// ring stays taken.
+FlightRing* ThisThreadRing() {
+  if (t_ring == nullptr) {
+    t_ring = ClaimRing();
+    thread_local RingRelease release;  // registered on the first claim
+  }
+  return t_ring;
+}
+
+// Appends `event` to `ring`'s capture log if the capture takes it, and
+// returns whether it did. An end is taken exactly when its begin was, so
+// every captured begin gets its end however the flag or budget changed
+// since; anything else is taken while the capture is on and its budget
+// has room.
+bool Capture(FlightRing& ring, const FlightEvent& event,
+             bool begin_captured) {
+  if (event.type == FlightEventType::kSpanEnd) {
+    if (!begin_captured) return false;
+    g_span_events_offered.fetch_add(1, mc::memory_order_relaxed);
+  } else {
+    if (!g_capture_active.load(mc::memory_order_relaxed)) return false;
+    mc::atomic<uint64_t>& offered =
+        event.type == FlightEventType::kSpanBegin ? g_span_events_offered
+                                                  : g_other_events_offered;
+    if (offered.fetch_add(1, mc::memory_order_relaxed) >=
+        kMaxCapturedEvents) {
+      g_capture_dropped.fetch_add(1, mc::memory_order_relaxed);
+      return false;
+    }
+  }
+  ring.captured.push_back(event);
+  return true;
 }
 
 struct NameTable {
@@ -82,6 +162,12 @@ struct NameTable {
 NameTable& Names() {
   static NameTable* table = new NameTable();
   return *table;
+}
+
+std::vector<std::string> NameTableCopy() {
+  NameTable& table = Names();
+  MutexLock lock(table.mu);
+  return table.names;
 }
 
 uint64_t DoubleBits(double value) {
@@ -155,15 +241,30 @@ void StopFlightRecording() {
   internal::g_flight_active.store(false, mc::memory_order_relaxed);
 }
 
+void StartFlightCapture() {
+  g_capture_active.store(true, mc::memory_order_relaxed);
+  StartFlightRecording();
+}
+
+void StopFlightCapture() {
+  g_capture_active.store(false, mc::memory_order_relaxed);
+}
+
+bool FlightCaptureActive() {
+  return g_capture_active.load(mc::memory_order_relaxed);
+}
+
 void ResetFlightRecorder() {
   RingRegistry& registry = Rings();
   MutexLock lock(registry.mu);
   for (FlightRing* ring : registry.rings) {
-    ring->head.store(0, mc::memory_order_relaxed);
-    for (Slot& slot : ring->slots) {
-      slot.seq.store(0, mc::memory_order_relaxed);
-    }
+    ClearRing(*ring);
+    ring->captured.clear();
+    ring->captured.shrink_to_fit();
   }
+  g_span_events_offered.store(0, mc::memory_order_relaxed);
+  g_other_events_offered.store(0, mc::memory_order_relaxed);
+  g_capture_dropped.store(0, mc::memory_order_relaxed);
 }
 
 namespace internal {
@@ -187,9 +288,11 @@ uint32_t InternFlightName(const char* name) {
   return id;
 }
 
-void RecordFlightEvent(FlightEventType type, uint32_t name_id, double value) {
-  if (!FlightRecordingActive()) return;
+bool RecordFlightEvent(FlightEventType type, uint32_t name_id, double value,
+                       bool begin_captured) {
+  if (!begin_captured && !FlightRecordingActive()) return false;
   FlightRing* ring = ThisThreadRing();
+  const double ts_us = NowMicros();
   const uint64_t index = ring->head.load(mc::memory_order_relaxed);
   Slot& slot = ring->slots[index & (kFlightRingSlots - 1)];
   // Per-slot seqlock, single writer: mark in-progress, publish the odd
@@ -201,10 +304,12 @@ void RecordFlightEvent(FlightEventType type, uint32_t name_id, double value) {
   slot.meta.store(static_cast<uint64_t>(name_id) |
                       (static_cast<uint64_t>(type) << 32),
                   mc::memory_order_relaxed);
-  slot.ts_bits.store(DoubleBits(NowMicros()), mc::memory_order_relaxed);
+  slot.ts_bits.store(DoubleBits(ts_us), mc::memory_order_relaxed);
   slot.value_bits.store(DoubleBits(value), mc::memory_order_relaxed);
   slot.seq.store(2 * index + 2, mc::memory_order_release);
   ring->head.store(index + 1, mc::memory_order_release);
+  return Capture(*ring, FlightEvent{ring->tid, name_id, type, ts_us, value},
+                 begin_captured);
 }
 
 FlightSnapshot SnapshotFlight() {
@@ -248,17 +353,31 @@ FlightSnapshot SnapshotFlight() {
   // Copy the name table AFTER scanning the rings: interning a name
   // happens-before recording an event with its id, so every id read
   // above resolves in a table copied later.
-  {
-    NameTable& table = Names();
-    MutexLock lock(table.mu);
-    snapshot.names = table.names;
-  }
+  snapshot.names = NameTableCopy();
   std::sort(snapshot.events.begin(), snapshot.events.end(),
             [](const FlightEvent& a, const FlightEvent& b) {
               return std::tie(a.ts_us, a.tid, a.type, a.name_id) <
                      std::tie(b.ts_us, b.tid, b.type, b.name_id);
             });
   return snapshot;
+}
+
+FlightSnapshot SnapshotFlightCapture() {
+  FlightSnapshot snapshot;
+  {
+    RingRegistry& registry = Rings();
+    MutexLock lock(registry.mu);
+    for (const FlightRing* ring : registry.rings) {
+      snapshot.events.insert(snapshot.events.end(), ring->captured.begin(),
+                             ring->captured.end());
+    }
+  }
+  snapshot.names = NameTableCopy();
+  return snapshot;
+}
+
+uint64_t FlightCaptureDropped() {
+  return g_capture_dropped.load(mc::memory_order_relaxed);
 }
 
 void WriteFlightDump(const FlightSnapshot& snapshot, std::ostream& out) {
@@ -346,38 +465,26 @@ bool ReadFlightDump(std::istream& in, FlightSnapshot* snapshot,
   return true;
 }
 
-void WriteFlightChromeTrace(const FlightSnapshot& snapshot,
-                            std::ostream& out) {
-  // Last timestamp per thread, for synthetically closing spans whose end
-  // was not captured (recording stopped mid-span).
+std::size_t WriteFlightChromeTrace(const FlightSnapshot& snapshot,
+                                   std::ostream& out) {
+  // Last timestamp per thread, for closing spans whose end the snapshot
+  // does not hold (still open when it was taken).
   std::map<uint32_t, double> last_ts;
   for (const FlightEvent& event : snapshot.events) {
     double& ts = last_ts[event.tid];
     ts = std::max(ts, event.ts_us);
   }
-  auto name_of = [&](uint32_t id) -> std::string {
-    return id < snapshot.names.size() ? snapshot.names[id] : "<unknown>";
-  };
-  // Rendered events are buffered and re-sorted before writing: an "X"
-  // complete event carries its span's *begin* timestamp but is produced
-  // when the *end* event is reached, so emission order alone would not
-  // be time-ordered within a thread. Ties sort longer-duration first so
+  // Output events, sorted before rendering: an "X" complete event
+  // carries its span's *begin* timestamp but is produced when the *end*
+  // is reached, so emission order alone would not be time-ordered within
+  // a thread. A span is kept as its kSpanBegin with `value` its duration;
+  // counters and pool tasks as they are. Ties sort longer spans first so
   // nested spans stay outer-before-inner.
-  struct Rendered {
-    double ts_us;
-    uint32_t tid;
-    double dur_us;  // 0 for counters / instants
-    std::string json;
-  };
-  std::vector<Rendered> rendered;
+  std::vector<FlightEvent> rendered;
+  rendered.reserve(snapshot.events.size());
   auto emit_x = [&](uint32_t tid, uint32_t name_id, double ts, double dur) {
-    std::ostringstream event;
-    dur = std::max(dur, 0.0);
-    event << "{\"name\": \"" << JsonEscape(name_of(name_id))
-          << "\", \"cat\": \"flight\", \"ph\": \"X\", \"ts\": "
-          << JsonNumber(ts) << ", \"dur\": " << JsonNumber(dur)
-          << ", \"pid\": 1, \"tid\": " << tid << "}";
-    rendered.push_back(Rendered{ts, tid, dur, event.str()});
+    rendered.push_back(FlightEvent{tid, name_id, FlightEventType::kSpanBegin,
+                                   ts, std::max(dur, 0.0)});
   };
   struct OpenSpan {
     uint32_t name_id;
@@ -400,50 +507,62 @@ void WriteFlightChromeTrace(const FlightSnapshot& snapshot,
         }
         break;
       }
-      case FlightEventType::kCounter: {
-        std::ostringstream counter;
-        counter << "{\"name\": \"" << JsonEscape(name_of(event.name_id))
-                << "\", \"cat\": \"flight\", \"ph\": \"C\", \"ts\": "
-                << JsonNumber(event.ts_us) << ", \"pid\": 1, \"tid\": "
-                << event.tid << ", \"args\": {\"value\": "
-                << JsonNumber(event.value) << "}}";
-        rendered.push_back(
-            Rendered{event.ts_us, event.tid, 0.0, counter.str()});
+      case FlightEventType::kCounter:
+      case FlightEventType::kPoolTask:
+        rendered.push_back(event);
         break;
-      }
-      case FlightEventType::kPoolTask: {
-        std::ostringstream instant;
-        instant << "{\"name\": \"" << JsonEscape(name_of(event.name_id))
-                << "\", \"cat\": \"flight\", \"ph\": \"i\", \"ts\": "
-                << JsonNumber(event.ts_us) << ", \"pid\": 1, \"tid\": "
-                << event.tid << ", \"s\": \"t\", \"args\": {\"wait_us\": "
-                << JsonNumber(event.value) << "}}";
-        rendered.push_back(
-            Rendered{event.ts_us, event.tid, 0.0, instant.str()});
-        break;
-      }
     }
   }
+  std::size_t unpaired = 0;
   for (const auto& [tid, stack] : stacks) {
+    unpaired += stack.size();
     // Innermost first so the synthesized closes stay well nested.
     for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
       emit_x(tid, it->name_id, it->ts_us, last_ts[tid] - it->ts_us);
     }
   }
+  auto duration = [](const FlightEvent& event) {
+    return event.type == FlightEventType::kSpanBegin ? event.value : 0.0;
+  };
   std::stable_sort(rendered.begin(), rendered.end(),
-                   [](const Rendered& a, const Rendered& b) {
+                   [&](const FlightEvent& a, const FlightEvent& b) {
                      if (a.ts_us != b.ts_us) return a.ts_us < b.ts_us;
                      if (a.tid != b.tid) return a.tid < b.tid;
-                     return a.dur_us > b.dur_us;
+                     return duration(a) > duration(b);
                    });
+  auto name_of = [&](uint32_t id) -> std::string {
+    return id < snapshot.names.size() ? snapshot.names[id] : "<unknown>";
+  };
   out << "{\"traceEvents\": [";
   bool first = true;
-  for (const Rendered& event : rendered) {
+  for (const FlightEvent& event : rendered) {
     if (!first) out << ",";
     first = false;
-    out << "\n  " << event.json;
+    out << "\n  {\"name\": \"" << JsonEscape(name_of(event.name_id))
+        << "\", \"cat\": \"flight\", \"ph\": ";
+    switch (event.type) {
+      case FlightEventType::kSpanBegin:
+        out << "\"X\", \"ts\": " << JsonNumber(event.ts_us)
+            << ", \"dur\": " << JsonNumber(event.value)
+            << ", \"pid\": 1, \"tid\": " << event.tid << "}";
+        break;
+      case FlightEventType::kCounter:
+        out << "\"C\", \"ts\": " << JsonNumber(event.ts_us)
+            << ", \"pid\": 1, \"tid\": " << event.tid
+            << ", \"args\": {\"value\": " << JsonNumber(event.value) << "}}";
+        break;
+      case FlightEventType::kPoolTask:
+        out << "\"i\", \"ts\": " << JsonNumber(event.ts_us)
+            << ", \"pid\": 1, \"tid\": " << event.tid
+            << ", \"s\": \"t\", \"args\": {\"wait_us\": "
+            << JsonNumber(event.value) << "}}";
+        break;
+      case FlightEventType::kSpanEnd:
+        break;  // never rendered: ends became X events above
+    }
   }
   out << "\n], \"displayTimeUnit\": \"ms\"}\n";
+  return unpaired;
 }
 
 }  // namespace obs

@@ -8,7 +8,6 @@
 #include "obs/flight.h"
 #include "obs/latency_histogram.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "util/concurrency.h"
 
 #ifndef MONOCLASS_GIT_SHA
@@ -53,12 +52,10 @@ void SetEnabled(bool enabled) {
 void InitFromEnv() {
   Enabled();  // resolves MONOCLASS_OBS if still unset
   if (internal::EnvTruthy("MONOCLASS_TRACE")) {
-    SetEnabled(true);  // a trace without metrics is rarely what's wanted
-    StartTracing();
-  }
-  if (internal::EnvTruthy("MONOCLASS_FLIGHT")) {
-    SetEnabled(true);  // MC_LATENCY only brackets flight spans when on
-    StartFlightRecording();
+    // MC_LATENCY scopes and MC_COUNTER deltas reach the capture only
+    // while obs is on, and a trace without metrics is rarely wanted.
+    SetEnabled(true);
+    StartFlightCapture();
   }
 }
 
@@ -77,7 +74,8 @@ namespace {
 // mutex_contended hook in particular runs while the contended mutex is
 // still held, which may be the registry's own mu_, so a lazy
 // GetCounter() there would self-deadlock. Hook bodies are lock-free:
-// relaxed atomic updates plus (for pool tasks) a flight-ring write.
+// relaxed atomic updates plus (for pool tasks) a flight-recorder write,
+// which allocates only while the whole-run capture is on.
 struct PoolMetricSinks {
   Counter* tasks;
   Counter* contentions;

@@ -17,22 +17,24 @@
 //     inert).
 //   * runtime -- even when compiled in, the macros are no-ops (one
 //     relaxed atomic load) until obs::SetEnabled(true) is called or the
-//     MONOCLASS_OBS environment variable is set to 1/on/true. Tracing
-//     (obs::StartTracing / MONOCLASS_TRACE) and flight recording
-//     (obs::StartFlightRecording / MONOCLASS_FLIGHT) have their own
-//     switches layered on top.
+//     MONOCLASS_OBS environment variable is set to 1/on/true. Event
+//     recording into the flight recorder (obs/flight.h) has its own
+//     switch layered on top: MONOCLASS_TRACE=1 turns it on together with
+//     the whole-run capture, --telemetry-dump turns on the live rings.
 //
 // The macros:
 //
 //   MC_COUNTER("name", delta)    monotone counter += delta
 //   MC_GAUGE("name", value)      last-value gauge
 //   MC_HISTOGRAM("name", value)  log-bucket histogram observation
-//   MC_SPAN("name")              RAII trace span for the enclosing scope
+//   MC_SPAN("name")              RAII span for the enclosing scope:
+//                                flight-recorder begin/end events when
+//                                recording is on
 //   MC_LATENCY("name")           RAII latency-histogram timer for the
 //                                enclosing scope (quantile-exact
 //                                LatencyHistogram, microseconds); also
 //                                emits flight-recorder begin/end events
-//                                when flight recording is on. Names must
+//                                when recording is on. Names must
 //                                start with "mc.lat." (lint rule MC010).
 //   MC_OBS(code)                 arbitrary code gated like the macros
 //
@@ -64,7 +66,7 @@ extern mc::atomic<int> g_enabled_state;
 bool InitEnabledFromEnv();
 }  // namespace internal
 
-// Whether the metrics/tracing macros are live right now.
+// Whether the metrics macros are live right now.
 inline bool Enabled() {
   const int state = internal::g_enabled_state.load(mc::memory_order_relaxed);
   if (state >= 0) return state != 0;
@@ -74,8 +76,8 @@ inline bool Enabled() {
 // Overrides the environment-derived default.
 void SetEnabled(bool enabled);
 
-// Reads MONOCLASS_OBS, MONOCLASS_TRACE and MONOCLASS_FLIGHT and applies
-// the switches (benches and the CLI call this once at startup).
+// Reads MONOCLASS_OBS and MONOCLASS_TRACE and applies the switches
+// (benches and the CLI call this once at startup).
 void InitFromEnv();
 
 // Git SHA the library was built from ("unknown" outside a git checkout).
@@ -114,7 +116,8 @@ class LatencyScope {
       if (FlightRecordingActive()) {
         flight_name_id_ = InternFlightName(name);
         in_flight_ = true;
-        RecordFlightEvent(FlightEventType::kSpanBegin, flight_name_id_, 0.0);
+        captured_ = RecordFlightEvent(FlightEventType::kSpanBegin,
+                                      flight_name_id_, 0.0);
       }
     }
   }
@@ -125,7 +128,7 @@ class LatencyScope {
     histogram_->Observe(elapsed_us);
     if (in_flight_) {
       RecordFlightEvent(FlightEventType::kSpanEnd, flight_name_id_,
-                        elapsed_us);
+                        elapsed_us, captured_);
     }
   }
 
@@ -137,6 +140,7 @@ class LatencyScope {
   double start_us_ = 0.0;
   uint32_t flight_name_id_ = 0;
   bool in_flight_ = false;
+  bool captured_ = false;  // the begin entered the whole-run capture
 };
 
 }  // namespace obs

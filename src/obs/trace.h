@@ -1,41 +1,26 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// RAII trace spans behind MC_SPAN (see obs/obs.h): when tracing is
-// active, each span records a B (begin) event at construction and an E
-// (end) event at destruction into a process-wide buffer, which can be
-// dumped as Chrome-trace-format JSON (load it at chrome://tracing or
-// https://ui.perfetto.dev) or aggregated into a hierarchical plain-text
-// per-phase report.
+// RAII spans behind MC_SPAN (see obs/obs.h) and the clock every obs
+// event is stamped with. While flight recording is on, a span records a
+// begin event at construction and an end event carrying its elapsed
+// microseconds at destruction, through the flight recorder
+// (obs/flight.h) -- the obs layer's one event sink. Its live rings serve
+// telemetry; its whole-run capture (MONOCLASS_TRACE=1) becomes a bench
+// run's Chrome-trace file.
 //
-// Timestamps come from a steady_clock epoch fixed at process start, in
+// Timestamps come from a steady_clock epoch fixed at first use, in
 // microseconds, so events are monotone per thread and comparable across
 // threads. Each thread gets a small dense tid from a thread_local
 // counter.
-//
-// The event buffer is bounded (kMaxTraceEvents): once full, new spans
-// stop recording their B event (and therefore their E event), keeping
-// the stream balanced; the drop count is reported so truncated traces
-// are detectable.
 
 #ifndef MONOCLASS_OBS_TRACE_H_
 #define MONOCLASS_OBS_TRACE_H_
 
 #include <cstdint>
-#include <iosfwd>
-#include <vector>
 
 namespace monoclass {
 namespace obs {
-
-// One begin/end event. `name` must be a string literal (MC_SPAN enforces
-// this by construction); the buffer stores the pointer only.
-struct TraceEvent {
-  const char* name = nullptr;
-  char phase = 'B';  // 'B' or 'E'
-  double ts_us = 0.0;
-  uint32_t tid = 0;
-};
 
 // Microseconds since the process-wide trace epoch (first use).
 double NowMicros();
@@ -43,37 +28,10 @@ double NowMicros();
 // Dense id of the calling thread (0 for the first thread observed).
 uint32_t CurrentThreadId();
 
-// Tracing control. StartTracing() implies obs::SetEnabled(true) is NOT
-// called -- metrics and tracing are independent switches.
-void StartTracing();
-void StopTracing();
-bool TracingActive();
-
-// Drops all buffered events (does not change the active flag).
-void ClearTrace();
-
-// Number of spans that could not be recorded since the last ClearTrace()
-// because the buffer was full.
-uint64_t DroppedSpans();
-
-// Copy of the buffered events, in record order (B events are appended at
-// span open, E events at span close, so per-thread timestamps are
-// monotone in file order).
-std::vector<TraceEvent> TraceSnapshot();
-
-// {"traceEvents": [...], "displayTimeUnit": "ms"} -- loadable by
-// chrome://tracing and Perfetto.
-void WriteChromeTrace(std::ostream& out);
-
-// Hierarchical per-phase aggregation: every distinct span stack path
-// becomes one line with call count, total and self wall time.
-void WriteTextReport(std::ostream& out);
-
-// RAII span used by MC_SPAN. Cheap when both tracing and flight
-// recording are inactive: two relaxed atomic loads in the constructor,
-// two branches in the destructor. When the flight recorder is on the
-// span additionally brackets itself with begin/end ring events
-// (obs/flight.h), independent of the trace buffer.
+// RAII span used by MC_SPAN. Cheap when recording is off: one relaxed
+// atomic load in the constructor, one branch in the destructor. A span
+// whose begin entered the whole-run capture always records its end
+// there, so the capture holds every such span whole.
 class Span {
  public:
   explicit Span(const char* name);
@@ -83,22 +41,19 @@ class Span {
   Span& operator=(const Span&) = delete;
 
  private:
-  const char* name_;
-  bool recorded_;
-  bool in_flight_ = false;
-  uint32_t flight_name_id_ = 0;
-  double flight_start_us_ = 0.0;
+  bool recorded_ = false;
+  bool captured_ = false;
+  uint32_t name_id_ = 0;
+  double start_us_ = 0.0;
 };
 
-// A wall-clock stopwatch that doubles as a trace span: always measures
-// (for benchmark tables) and additionally records B/E events when tracing
-// is active. This is the bench-side replacement for util/timer.h's
-// WallTimer, so one object both fills a table cell and shows up in the
-// trace.
+// A wall-clock stopwatch that doubles as a span: always measures (for
+// benchmark tables) and records like MC_SPAN while recording is on. This
+// is the bench-side replacement for util/timer.h's WallTimer, so one
+// object both fills a table cell and shows up in the trace.
 class SpanTimer {
  public:
-  explicit SpanTimer(const char* name);
-  ~SpanTimer();
+  explicit SpanTimer(const char* name) : span_(name) {}
 
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
@@ -107,11 +62,8 @@ class SpanTimer {
   double ElapsedSeconds() const { return ElapsedMillis() * 1e-3; }
 
  private:
-  const char* name_;
-  double start_us_;
-  bool recorded_;
-  bool in_flight_ = false;
-  uint32_t flight_name_id_ = 0;
+  double start_us_ = NowMicros();
+  Span span_;
 };
 
 }  // namespace obs

@@ -3,22 +3,27 @@
 //
 // Flight recorder (obs/flight.h): ring wraparound keeps the newest
 // events, concurrent writers stay decodable (the per-slot seqlock is
-// what tsan exercises here), the binary dump round-trips, and the
-// Chrome-trace conversion produces a validator-clean event stream.
+// what tsan exercises here), exited threads hand their rings on, the
+// whole-run capture keeps every event up to its cap, the binary dump
+// round-trips, and the Chrome-trace conversion produces a
+// validator-clean event stream.
 
 #include "obs/flight.h"
 
 #include <gtest/gtest.h>
 
-#include "util/sync_model.h"
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
+#include "obs/trace.h"
 #include "util/concurrency.h"
 #include "util/json.h"
+#include "util/sync_model.h"
 
 namespace monoclass {
 namespace obs {
@@ -31,13 +36,14 @@ class FlightTest : public ::testing::Test {
     ResetFlightRecorder();
   }
   void TearDown() override {
+    StopFlightCapture();
     StopFlightRecording();
     ResetFlightRecorder();
     SetEnabled(false);
   }
 };
 
-// Events recorded under `name_id`, in snapshot (time) order.
+// Events recorded under `name_id`, in snapshot order.
 std::vector<FlightEvent> EventsNamed(const FlightSnapshot& snapshot,
                                      uint32_t name_id) {
   std::vector<FlightEvent> out;
@@ -155,6 +161,163 @@ TEST_F(FlightTest, EightConcurrentWritersStayDecodable) {
     tids.insert(events.front().tid);
   }
   EXPECT_EQ(tids.size(), kWriters);
+}
+
+TEST_F(FlightTest, ExitedThreadsHandTheirRingsOn) {
+  // 64 threads one after another, each recording one event and exiting:
+  // each takes over the ring its predecessor freed (and resets it), so
+  // the ring count -- and the memory -- stays at the peak number of live
+  // recording threads instead of growing by a ring per thread.
+  StartFlightRecording();
+  const uint32_t name = InternFlightName("flight_test.churn");
+  for (int i = 0; i < 64; ++i) {
+    ThreadPool pool(1);  // joined at scope exit, which frees the ring
+    pool.Submit([name, i] {
+      RecordFlightEvent(FlightEventType::kCounter, name,
+                        static_cast<double>(i));
+    });
+  }
+  StopFlightRecording();
+
+  const auto events = EventsNamed(SnapshotFlight(), name);
+  // The last thread's event stays visible until its ring is reused.
+  ASSERT_GE(events.size(), 1u);
+  EXPECT_LE(events.size(), 2u);
+  EXPECT_DOUBLE_EQ(events.back().value, 63.0);
+}
+
+TEST_F(FlightTest, CaptureKeepsTheWholeRunInRecordOrder) {
+  StartFlightCapture();
+  const uint32_t name = InternFlightName("flight_test.capture");
+  constexpr size_t kTotal = 3 * internal::kFlightRingSlots;
+  for (size_t i = 0; i < kTotal; ++i) {
+    RecordFlightEvent(FlightEventType::kCounter, name,
+                      static_cast<double>(i));
+  }
+  StopFlightCapture();
+  StopFlightRecording();
+
+  const auto captured = EventsNamed(SnapshotFlightCapture(), name);
+  ASSERT_EQ(captured.size(), kTotal);
+  for (size_t i = 0; i < captured.size(); ++i) {
+    EXPECT_DOUBLE_EQ(captured[i].value, static_cast<double>(i));
+  }
+  EXPECT_EQ(FlightCaptureDropped(), 0u);
+
+  // The ring, recording the same stream, keeps only the newest slots.
+  const FlightSnapshot ring = SnapshotFlight();
+  EXPECT_EQ(EventsNamed(ring, name).size(), internal::kFlightRingSlots);
+  EXPECT_EQ(ring.overwritten, 2 * internal::kFlightRingSlots);
+}
+
+TEST_F(FlightTest, CaptureCountsEventsPastItsCap) {
+  StartFlightCapture();
+  const uint32_t name = InternFlightName("flight_test.capture_cap");
+  constexpr size_t kExtra = 5;
+  for (size_t i = 0; i < internal::kMaxCapturedEvents + kExtra; ++i) {
+    RecordFlightEvent(FlightEventType::kCounter, name,
+                      static_cast<double>(i));
+  }
+  StopFlightCapture();
+  StopFlightRecording();
+
+  EXPECT_EQ(FlightCaptureDropped(), kExtra);
+  {
+    // The capture holds the first kMaxCapturedEvents; later ones drop.
+    const FlightSnapshot capture = SnapshotFlightCapture();
+    ASSERT_EQ(capture.events.size(), internal::kMaxCapturedEvents);
+    EXPECT_DOUBLE_EQ(capture.events.back().value,
+                     static_cast<double>(internal::kMaxCapturedEvents - 1));
+  }
+  ResetFlightRecorder();
+  EXPECT_EQ(FlightCaptureDropped(), 0u);
+  EXPECT_TRUE(SnapshotFlightCapture().events.empty());
+}
+
+TEST_F(FlightTest, SpentSpanBudgetKeepsEndsOfCapturedSpans) {
+  StartFlightCapture();
+  const uint32_t filler = InternFlightName("flight_test.budget_filler");
+  const uint32_t counter = InternFlightName("flight_test.budget_counter");
+  {
+    Span open("flight_test/open_at_cap");
+    for (size_t i = 1; i < internal::kMaxCapturedEvents; ++i) {
+      RecordFlightEvent(FlightEventType::kSpanBegin, filler, 0.0);
+    }
+    // The span budget is spent: a new span is refused whole...
+    { Span refused("flight_test/refused"); }
+    // ...while counters draw on a budget of their own...
+    RecordFlightEvent(FlightEventType::kCounter, counter, 1.0);
+    StopFlightCapture();
+  }  // ...and the span open across the cap and the stop keeps its end.
+  StopFlightRecording();
+
+  EXPECT_EQ(FlightCaptureDropped(), 1u);
+  const FlightSnapshot capture = SnapshotFlightCapture();
+  ASSERT_EQ(capture.events.size(), internal::kMaxCapturedEvents + 2);
+  const FlightEvent& first = capture.events.front();
+  const FlightEvent& last = capture.events.back();
+  EXPECT_EQ(capture.names[first.name_id], "flight_test/open_at_cap");
+  EXPECT_EQ(first.type, FlightEventType::kSpanBegin);
+  EXPECT_EQ(capture.names[last.name_id], "flight_test/open_at_cap");
+  EXPECT_EQ(last.type, FlightEventType::kSpanEnd);
+  EXPECT_EQ(EventsNamed(capture, counter).size(), 1u);
+  const uint32_t refused = InternFlightName("flight_test/refused");
+  EXPECT_TRUE(EventsNamed(capture, refused).empty());
+}
+
+TEST_F(FlightTest, CapturedSpansPairIntoCompleteEventsPerThread) {
+  StartFlightCapture();
+  constexpr size_t kThreads = 2;
+  constexpr int kSpans = 50;
+  // Rendezvous so each task runs on its own worker thread.
+  mc::atomic<size_t> arrived{0};
+  {
+    ThreadPool pool(kThreads);
+    for (size_t t = 0; t < kThreads; ++t) {
+      pool.Submit([&arrived] {
+        arrived.fetch_add(1);
+        while (arrived.load() < kThreads) {
+        }
+        for (int i = 0; i < kSpans; ++i) {
+          Span outer("flight_test/pair_outer");
+          Span inner("flight_test/pair_inner");
+        }
+      });
+    }
+  }
+  StopFlightCapture();
+  StopFlightRecording();
+
+  std::stringstream trace;
+  WriteFlightChromeTrace(SnapshotFlightCapture(), trace);
+  std::string error;
+  const auto root = JsonValue::Parse(trace.str(), &error);
+  ASSERT_TRUE(root.has_value()) << error;
+  // tid -> (start, dur) of each outer span, in trace (start) order.
+  std::map<double, std::vector<std::pair<double, double>>> outer_by_tid;
+  std::map<double, int> inner_by_tid;
+  for (const JsonValue& event : root->Find("traceEvents")->AsArray()) {
+    if (event.Find("ph")->AsString() != "X") continue;  // pool instants
+    const double tid = event.Find("tid")->AsNumber();
+    const std::string& name = event.Find("name")->AsString();
+    if (name == "flight_test/pair_outer") {
+      outer_by_tid[tid].emplace_back(event.Find("ts")->AsNumber(),
+                                     event.Find("dur")->AsNumber());
+    } else if (name == "flight_test/pair_inner") {
+      ++inner_by_tid[tid];
+    }
+  }
+  ASSERT_EQ(outer_by_tid.size(), kThreads);
+  for (const auto& [tid, outers] : outer_by_tid) {
+    ASSERT_EQ(outers.size(), static_cast<size_t>(kSpans)) << "tid " << tid;
+    EXPECT_EQ(inner_by_tid[tid], kSpans) << "tid " << tid;
+    // Really paired, not closed at the thread's last event: one
+    // thread's loop iterations never overlap.
+    for (size_t i = 1; i < outers.size(); ++i) {
+      EXPECT_LE(outers[i - 1].first + outers[i - 1].second, outers[i].first)
+          << "tid " << tid << " span " << i;
+    }
+  }
 }
 
 TEST_F(FlightTest, BinaryDumpRoundTrips) {

@@ -6,8 +6,8 @@
 // MC_OBS_COMPILED exactly like building with -DMONOCLASS_OBS=OFF does
 // globally, so the expansion below is the compiled-out one. Macro
 // arguments must not be evaluated (no side effects) and nothing may
-// reach the metrics registry or the trace buffer even when the runtime
-// switch is on.
+// reach the metrics registry or the flight recorder even when the
+// runtime switches are on.
 
 #define MONOCLASS_OBS_DISABLE 1
 
@@ -17,7 +17,6 @@
 
 #include "obs/flight.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace monoclass {
 namespace obs {
@@ -70,15 +69,24 @@ TEST(ObsCompileOutTest, LatencyScopeRecordsNothing) {
 }
 
 TEST(ObsCompileOutTest, SpansRecordNothing) {
+  // MC_SPAN compiled out must reach neither the rings nor the capture,
+  // even with both on.
   SetEnabled(true);
-  StartTracing();
+  StartFlightCapture();
   {
     MC_SPAN("compile_out.span");
     MC_SPAN("compile_out.nested");
   }
-  StopTracing();
-  EXPECT_TRUE(TraceSnapshot().empty());
-  ClearTrace();
+  StopFlightCapture();
+  StopFlightRecording();
+  EXPECT_TRUE(SnapshotFlightCapture().events.empty());
+  const FlightSnapshot flight = SnapshotFlight();
+  for (const FlightEvent& event : flight.events) {
+    ASSERT_LT(event.name_id, flight.names.size());
+    EXPECT_NE(flight.names[event.name_id], "compile_out.span");
+    EXPECT_NE(flight.names[event.name_id], "compile_out.nested");
+  }
+  ResetFlightRecorder();
   SetEnabled(false);
 }
 

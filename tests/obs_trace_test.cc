@@ -1,14 +1,18 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Tests for the tracing layer (obs/trace.h): balanced B/E streams,
-// per-thread monotone timestamps, Chrome-trace JSON validity, the text
-// report, and the end-to-end acceptance scenario -- a multi_d active run
-// whose span tree covers chain decomposition -> per-chain 1D sampling ->
-// passive min-cut, with probe counters exactly matching the oracle.
+// Tests for spans (obs/trace.h) as seen through the flight recorder's
+// whole-run capture (obs/flight.h): balanced begin/end streams,
+// per-thread monotone timestamps, a span open across the capture's stop
+// captured whole, Chrome-trace JSON validity, spans still open when a
+// bench writes its trace reported, and the end-to-end acceptance
+// scenario -- a multi_d active run whose span tree
+// covers chain decomposition -> per-chain 1D sampling -> passive
+// min-cut, with probe counters exactly matching the oracle.
 
 #include "obs/trace.h"
 
+#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -18,7 +22,9 @@
 
 #include "active/multi_d.h"
 #include "active/oracle.h"
+#include "bench/bench_util.h"
 #include "data/synthetic.h"
+#include "obs/flight.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "util/concurrency.h"
@@ -28,21 +34,44 @@ namespace monoclass {
 namespace obs {
 namespace {
 
-// Restarts tracing from an empty buffer for each test.
+// Restarts the capture from an empty recorder for each test.
 class TraceTest : public ::testing::Test {
  protected:
   void SetUp() override {
     SetEnabled(true);
-    StopTracing();
-    ClearTrace();
-    StartTracing();
+    ResetFlightRecorder();
+    StartFlightCapture();
   }
   void TearDown() override {
-    StopTracing();
-    ClearTrace();
+    StopFlightCapture();
+    StopFlightRecording();
+    ResetFlightRecorder();
     SetEnabled(false);
   }
 };
+
+// The captured span events, in snapshot order.
+struct SpanEvent {
+  std::string name;
+  bool begin = false;
+  uint32_t tid = 0;
+  double ts_us = 0.0;
+};
+
+std::vector<SpanEvent> CapturedSpans() {
+  const FlightSnapshot snapshot = SnapshotFlightCapture();
+  std::vector<SpanEvent> spans;
+  for (const FlightEvent& event : snapshot.events) {
+    if (event.type != FlightEventType::kSpanBegin &&
+        event.type != FlightEventType::kSpanEnd) {
+      continue;
+    }
+    spans.push_back(SpanEvent{snapshot.names[event.name_id],
+                              event.type == FlightEventType::kSpanBegin,
+                              event.tid, event.ts_us});
+  }
+  return spans;
+}
 
 TEST_F(TraceTest, SpansEmitBalancedEvents) {
   {
@@ -50,19 +79,20 @@ TEST_F(TraceTest, SpansEmitBalancedEvents) {
     { Span inner("inner"); }
     { Span inner("inner"); }
   }
-  const std::vector<TraceEvent> events = TraceSnapshot();
+  const std::vector<SpanEvent> events = CapturedSpans();
   ASSERT_EQ(events.size(), 6u);
-  // File order: B outer, B inner, E inner, B inner, E inner, E outer.
-  EXPECT_EQ(std::string(events[0].name), "outer");
-  EXPECT_EQ(events[0].phase, 'B');
-  EXPECT_EQ(std::string(events[5].name), "outer");
-  EXPECT_EQ(events[5].phase, 'E');
+  // Record order: B outer, B inner, E inner, B inner, E inner, E outer.
+  EXPECT_EQ(events[0].name, "outer");
+  EXPECT_TRUE(events[0].begin);
+  EXPECT_EQ(events[5].name, "outer");
+  EXPECT_FALSE(events[5].begin);
   int depth = 0;
-  for (const TraceEvent& event : events) {
-    depth += event.phase == 'B' ? 1 : -1;
+  for (const SpanEvent& event : events) {
+    depth += event.begin ? 1 : -1;
     EXPECT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+  EXPECT_EQ(FlightCaptureDropped(), 0u);
 }
 
 TEST_F(TraceTest, TimestampsMonotonePerThread) {
@@ -70,31 +100,65 @@ TEST_F(TraceTest, TimestampsMonotonePerThread) {
     Span span("tick");
   }
   std::map<uint32_t, double> last;
-  for (const TraceEvent& event : TraceSnapshot()) {
+  for (const SpanEvent& event : CapturedSpans()) {
     const auto it = last.find(event.tid);
     if (it != last.end()) {
       EXPECT_GE(event.ts_us, it->second);
     }
     last[event.tid] = event.ts_us;
   }
+  EXPECT_EQ(last.size(), 1u);
 }
 
 TEST_F(TraceTest, SpansInactiveWhenTracingStopped) {
-  StopTracing();
+  StopFlightCapture();
   { Span span("ignored"); }
-  EXPECT_TRUE(TraceSnapshot().empty());
+  EXPECT_TRUE(CapturedSpans().empty());
 }
 
 TEST_F(TraceTest, SpanOpenAcrossStopStillCloses) {
-  std::vector<TraceEvent> events;
   {
     Span span("crossing");
-    StopTracing();
-  }  // E must still be recorded for the already-open span
-  events = TraceSnapshot();
+    StopFlightCapture();
+  }  // the end must still be captured for the already-captured begin
+  const std::vector<SpanEvent> events = CapturedSpans();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].phase, 'B');
-  EXPECT_EQ(events[1].phase, 'E');
+  EXPECT_EQ(events[0].name, "crossing");
+  EXPECT_TRUE(events[0].begin);
+  EXPECT_EQ(events[1].name, "crossing");
+  EXPECT_FALSE(events[1].begin);
+}
+
+TEST_F(TraceTest, ChromeTraceCountsSpansStillOpen) {
+  // A span still open when the capture is written is closed at its
+  // thread's last event, with a made-up duration; the writer reports it
+  // so a bench that leaves a span open can fail.
+  std::ostringstream out;
+  {
+    Span open("left_open");
+    { Span done("done"); }
+    EXPECT_EQ(WriteFlightChromeTrace(SnapshotFlightCapture(), out), 1u);
+  }
+  EXPECT_EQ(WriteFlightChromeTrace(SnapshotFlightCapture(), out), 0u);
+}
+
+TEST_F(TraceTest, BenchFinishFailsWhileASpanIsOpen) {
+  // BenchReport::Finish() writes TRACE_<id>.json from the capture and
+  // returns false when a span is still open, so a bench that calls it
+  // too early fails its run instead of shipping a stretched span.
+  ASSERT_EQ(setenv("MONOCLASS_BENCH_OUT", ::testing::TempDir().c_str(), 1),
+            0);
+  bench::BenchReport& report = bench::BenchReport::Global();
+  report.Begin("OBS_TRACE_TEST_OPEN", "obs_trace_test", "span left open");
+  {
+    Span open("bench/left_open");
+    EXPECT_FALSE(report.Finish());
+  }
+  EXPECT_FALSE(report.Finish());  // idempotent, verdict included
+  report.Begin("OBS_TRACE_TEST_CLOSED", "obs_trace_test", "spans closed");
+  { Span done("bench/closed"); }
+  EXPECT_TRUE(report.Finish());
+  unsetenv("MONOCLASS_BENCH_OUT");
 }
 
 TEST_F(TraceTest, ChromeTraceIsValidJson) {
@@ -103,21 +167,25 @@ TEST_F(TraceTest, ChromeTraceIsValidJson) {
     Span inner("with \"quotes\"");
   }
   std::ostringstream out;
-  WriteChromeTrace(out);
+  WriteFlightChromeTrace(SnapshotFlightCapture(), out);
   std::string error;
   const auto doc = JsonValue::Parse(out.str(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
   const JsonValue* events = doc->Find("traceEvents");
   ASSERT_NE(events, nullptr);
-  ASSERT_EQ(events->AsArray().size(), 4u);
+  ASSERT_EQ(events->AsArray().size(), 2u);
   for (const JsonValue& event : events->AsArray()) {
     EXPECT_TRUE(event.Find("name")->is_string());
     EXPECT_TRUE(event.Find("ts")->is_number());
+    EXPECT_TRUE(event.Find("dur")->is_number());
     EXPECT_TRUE(event.Find("pid")->is_number());
     EXPECT_TRUE(event.Find("tid")->is_number());
-    const std::string& ph = event.Find("ph")->AsString();
-    EXPECT_TRUE(ph == "B" || ph == "E");
+    EXPECT_EQ(event.Find("ph")->AsString(), "X");
   }
+  // Outer first: equal-start ties sort the longer span ahead.
+  EXPECT_EQ(events->AsArray()[0].Find("name")->AsString(), "phase one");
+  EXPECT_EQ(events->AsArray()[1].Find("name")->AsString(),
+            "with \"quotes\"");
   EXPECT_EQ(doc->Find("displayTimeUnit")->AsString(), "ms");
 }
 
@@ -133,30 +201,19 @@ TEST_F(TraceTest, MultiThreadedSpansKeepPerThreadBalance) {
   });
   std::map<uint32_t, int> depth;
   std::map<uint32_t, double> last;
-  for (const TraceEvent& event : TraceSnapshot()) {
-    depth[event.tid] += event.phase == 'B' ? 1 : -1;
+  size_t begins = 0;
+  for (const SpanEvent& event : CapturedSpans()) {
+    depth[event.tid] += event.begin ? 1 : -1;
     EXPECT_GE(depth[event.tid], 0);
     const auto it = last.find(event.tid);
     if (it != last.end()) {
       EXPECT_GE(event.ts_us, it->second);
     }
     last[event.tid] = event.ts_us;
+    if (event.begin) ++begins;
   }
   for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0) << "tid " << tid;
-}
-
-TEST_F(TraceTest, TextReportAggregatesByPath) {
-  {
-    Span outer("report/outer");
-    { Span inner("report/inner"); }
-    { Span inner("report/inner"); }
-  }
-  std::ostringstream out;
-  WriteTextReport(out);
-  const std::string report = out.str();
-  EXPECT_NE(report.find("report/outer"), std::string::npos);
-  EXPECT_NE(report.find("report/outer/report/inner"), std::string::npos);
-  EXPECT_EQ(DroppedSpans(), 0u);
+  EXPECT_EQ(begins, 4u * 100u * 2u);
 }
 
 // --- acceptance scenario ------------------------------------------------
@@ -194,16 +251,16 @@ TEST_F(TraceTest, EndToEndActiveRunTracesPipelineAndCountsProbes) {
             oracle.NumProbes());
   EXPECT_EQ(result.probes, oracle.NumProbes());
 
-  // The span tree covers the documented pipeline phases.
-  const std::vector<TraceEvent> events = TraceSnapshot();
+  // The span tree covers the documented pipeline phases, balanced on
+  // every thread.
   std::map<std::string, int> begins;
-  int depth = 0;
-  for (const TraceEvent& event : events) {
-    if (event.phase == 'B') ++begins[event.name];
-    depth += event.phase == 'B' ? 1 : -1;
-    EXPECT_GE(depth, 0);
+  std::map<uint32_t, int> depth;
+  for (const SpanEvent& event : CapturedSpans()) {
+    if (event.begin) ++begins[event.name];
+    depth[event.tid] += event.begin ? 1 : -1;
+    EXPECT_GE(depth[event.tid], 0);
   }
-  EXPECT_EQ(depth, 0);
+  for (const auto& [tid, d] : depth) EXPECT_EQ(d, 0) << "tid " << tid;
   EXPECT_EQ(begins["active/solve"], 1);
   EXPECT_EQ(begins["active/chain_decomposition"], 1);
   EXPECT_EQ(begins["par.chain"], static_cast<int>(result.num_chains));

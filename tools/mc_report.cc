@@ -147,11 +147,9 @@ void ValidateChromeTrace(const JsonValue& root, Validator& v) {
   const JsonValue* events =
       v.Require(root, "traceEvents", JsonValue::Type::kArray);
   if (events == nullptr) return;
-  // Balanced B/E per thread, monotone timestamps per thread. "X"
-  // (complete), "C" (counter) and "i" (instant) events -- the shapes
-  // `mc_report --flight` emits -- are depth-neutral; an X additionally
-  // needs a non-negative "dur".
-  std::map<uint64_t, int> depth;      // tid -> open spans
+  // Monotone timestamps per thread, over the shapes the flight recorder
+  // emits (obs/flight.h): "X" (complete) events with a non-negative
+  // "dur", "C" (counter) and "i" (instant) events.
   std::map<uint64_t, double> last_ts; // tid -> last timestamp seen
   for (size_t i = 0; i < events->AsArray().size(); ++i) {
     const JsonValue& event = events->AsArray()[i];
@@ -166,20 +164,14 @@ void ValidateChromeTrace(const JsonValue& root, Validator& v) {
     v.Require(event, "pid", JsonValue::Type::kNumber);
     if (ph == nullptr || ts == nullptr || tid == nullptr) continue;
     const auto thread = static_cast<uint64_t>(tid->AsNumber());
-    if (ph->AsString() == "B") {
-      ++depth[thread];
-    } else if (ph->AsString() == "E") {
-      if (--depth[thread] < 0) {
-        v.Fail("event " + std::to_string(i) + ": E without matching B");
-      }
-    } else if (ph->AsString() == "X") {
+    if (ph->AsString() == "X") {
       const JsonValue* dur =
           v.Require(event, "dur", JsonValue::Type::kNumber);
       if (dur != nullptr && dur->AsNumber() < 0) {
         v.Fail("event " + std::to_string(i) + ": X with negative dur");
       }
     } else if (ph->AsString() == "C" || ph->AsString() == "i") {
-      // Depth- and duration-free; nothing further to check.
+      // Duration-free; nothing further to check.
     } else {
       v.Fail("event " + std::to_string(i) + ": unexpected ph \"" +
              ph->AsString() + "\"");
@@ -190,12 +182,6 @@ void ValidateChromeTrace(const JsonValue& root, Validator& v) {
              ": timestamp not monotone within thread");
     }
     it->second = ts->AsNumber();
-  }
-  for (const auto& [thread, open] : depth) {
-    if (open != 0) {
-      v.Fail("thread " + std::to_string(thread) + " has " +
-             std::to_string(open) + " unclosed span(s)");
-    }
   }
 }
 
@@ -266,7 +252,7 @@ void PrintBenchReport(const JsonValue& root) {
   if (dropped != nullptr && dropped->is_number() &&
       dropped->AsNumber() > 0) {
     std::cout << "  WARNING: " << dropped->AsNumber()
-              << " spans dropped (trace buffer full)\n";
+              << " events dropped (trace capture full)\n";
   }
 }
 
@@ -283,8 +269,7 @@ void PrintChromeTrace(const JsonValue& root) {
       const JsonValue* ph = event.Find("ph");
       const JsonValue* name = event.Find("name");
       if (ph == nullptr || name == nullptr || !ph->is_string() ||
-          !name->is_string() ||
-          (ph->AsString() != "B" && ph->AsString() != "X")) {
+          !name->is_string() || ph->AsString() != "X") {
         continue;
       }
       bool found = false;

@@ -7,8 +7,8 @@
 #   * --compare hard-fails on schema-invalid inputs (historically it
 #     kind-sniffed only, so a truncated baseline passed vacuously) and
 #     still catches counter drift between two valid reports;
-#   * --validate accepts the X/C/i Chrome-trace shapes that
-#     `mc_report --flight` emits, and rejects a negative-dur X;
+#   * --validate accepts the X/C/i Chrome-trace shapes the flight
+#     recorder emits, and rejects a negative-dur X and B/E events;
 #   * --flight rejects garbage dumps; with a bench binary available
 #     (MC_BENCH_MAXFLOW) a real --telemetry-dump run round-trips:
 #     exposition parses, the flight dump decodes to a trace that
@@ -118,12 +118,20 @@ cat > "$tmp/trace_x.json" <<'EOF'
 {"ph":"C","ts":12.0,"tid":1,"pid":1,"name":"mc.flow.augments",
  "args":{"value":3}},
 {"ph":"i","ts":13.0,"tid":2,"pid":1,"name":"pool.task","s":"t"},
+{"ph":"X","ts":14.0,"dur":1.0,"tid":2,"pid":1,"name":"outer"}
+]}
+EOF
+expect_ok "a trace mixing X/C/i" \
+  "$mc_report" --validate "$tmp/trace_x.json"
+
+cat > "$tmp/trace_be.json" <<'EOF'
+{"traceEvents":[
 {"ph":"B","ts":14.0,"tid":2,"pid":1,"name":"outer"},
 {"ph":"E","ts":15.0,"tid":2,"pid":1,"name":"outer"}
 ]}
 EOF
-expect_ok "a trace mixing X/C/i with B/E" \
-  "$mc_report" --validate "$tmp/trace_x.json"
+expect_fail "a trace of B/E events" 'unexpected ph "B"' \
+  "$mc_report" --validate "$tmp/trace_be.json"
 
 cat > "$tmp/trace_bad.json" <<'EOF'
 {"traceEvents":[
