@@ -15,25 +15,6 @@ namespace monoclass {
 namespace net {
 namespace {
 
-// One-shot completion latch: the connection reader blocks on the pool
-// task that handles its frame, keeping per-connection request order
-// while the pool multiplexes CPU across connections.
-struct TaskLatch {
-  Mutex mu;
-  CondVar cv;
-  bool done MC_GUARDED_BY(mu) = false;
-
-  void Signal() MC_EXCLUDES(mu) {
-    MutexLock lock(mu);
-    done = true;
-    cv.NotifyAll();
-  }
-  void Await() MC_EXCLUDES(mu) {
-    MutexLock lock(mu);
-    cv.Wait(mu, [this]() MC_REQUIRES(mu) { return done; });
-  }
-};
-
 Frame MakeFrame(MessageType type, uint64_t request_id,
                 const WireStream& payload) {
   Frame frame;
@@ -48,7 +29,7 @@ Frame MakeFrame(MessageType type, uint64_t request_id,
 Server::Server(ServerOptions options)
     : options_(std::move(options)),
       sessions_(options_.sessions),
-      pool_(options_.parallel.Resolve()) {}
+      free_slots_(options_.parallel.Resolve()) {}
 
 Server::~Server() { Stop(); }
 
@@ -148,158 +129,170 @@ void Server::ConnectionLoop(Connection* connection) {
     MC_COUNTER("mc.srv.frames_rx", 1);
     MC_COUNTER("mc.srv.bytes_rx",
                kFrameOverheadBytes + frame->payload.size());
-    if (!HandleFrame(connection, *frame)) break;
+    AcquireHandlerSlot();
+    const bool keep_open = HandleFrame(connection, *frame);
+    ReleaseHandlerSlot();
+    if (!keep_open) break;
   }
   connection->socket.ShutdownBoth();
   MutexLock lock(conn_mu_);
   connection->done = true;
 }
 
+void Server::AcquireHandlerSlot() {
+  MC_LATENCY("mc.lat.srv_slot_wait");
+  MutexLock lock(slot_mu_);
+  slot_cv_.Wait(slot_mu_,
+                [this]() MC_REQUIRES(slot_mu_) { return free_slots_ > 0; });
+  --free_slots_;
+}
+
+void Server::ReleaseHandlerSlot() {
+  {
+    MutexLock lock(slot_mu_);
+    ++free_slots_;
+  }
+  slot_cv_.NotifyOne();
+}
+
 bool Server::HandleFrame(Connection* connection, const Frame& frame) {
-  TaskLatch latch;
-  bool keep_open = true;
-  pool_.Submit([this, connection, &frame, &keep_open, &latch] {
-    MC_LATENCY("mc.lat.srv_handler");
-    MC_COUNTER("mc.srv.requests", 1);
-    const uint64_t id = frame.request_id;
-    try {
-      WireStream in(frame.payload);
-      switch (static_cast<MessageType>(frame.type)) {
-        case MessageType::kPing: {
-          const PingMessage ping = PingMessage::Unserialize(in);
-          in.ExpectEnd();
-          WireStream out;
-          ping.Serialize(out);
-          SendOnConnection(connection, MakeFrame(MessageType::kPong, id, out));
-          break;
-        }
-        case MessageType::kPassiveSolveRequest: {
-          const PassiveSolveRequest request =
-              PassiveSolveRequest::Unserialize(in);
-          in.ExpectEnd();
-          // The wire enum is open; refuse a solver this server lacks
-          // rather than answer with a different one.
-          if (request.algorithm !=
-              static_cast<uint8_t>(WireSolverAlgorithm::kFlowExact)) {
-            throw WireError("unknown passive algorithm " +
-                            std::to_string(request.algorithm));
-          }
-          MC_COUNTER("mc.srv.passive_solves", 1);
-          WeightedPointSet weighted;
-          for (size_t i = 0; i < request.points.size(); ++i) {
-            const double w =
-                request.weights.empty() ? 1.0 : request.weights[i];
-            weighted.Add(request.points[i], request.labels[i], w);
-          }
-          PassiveSolveOptions solve_options;
-          solve_options.reduce_to_contending =
-              request.reduce_to_contending != 0;
-          // kAuto routes large instances through the sparse chain-relay
-          // network build automatically.
-          const ::monoclass::PassiveSolveResult solved =
-              SolvePassiveWeighted(weighted, solve_options);
-          net::PassiveSolveResult reply;
-          reply.classifier = solved.classifier;
-          reply.optimal_weighted_error = solved.optimal_weighted_error;
-          reply.network_vertices = solved.network_vertices;
-          reply.network_finite_edges = solved.network_finite_edges;
-          reply.used_sparse_network = solved.used_sparse_network ? 1 : 0;
-          WireStream out;
-          reply.Serialize(out);
-          SendOnConnection(
-              connection,
-              MakeFrame(MessageType::kPassiveSolveResult, id, out));
-          break;
-        }
-        case MessageType::kSessionOpen: {
-          SessionOpenRequest request = SessionOpenRequest::Unserialize(in);
-          in.ExpectEnd();
-          SessionOptions session_options;
-          session_options.seed = request.seed;
-          session_options.epsilon = request.epsilon;
-          session_options.delta = request.delta;
-          session_options.algorithm = request.algorithm;
-          Session::StepOutcome outcome;
-          const uint64_t session_id = sessions_.Open(
-              std::move(request.points), session_options, &outcome);
-          SendStepOutcome(connection, id, session_id, outcome);
-          break;
-        }
-        case MessageType::kSessionStep: {
-          const SessionStepRequest request =
-              SessionStepRequest::Unserialize(in);
-          in.ExpectEnd();
-          MC_COUNTER("mc.srv.session_steps", 1);
-          Session::StepOutcome outcome;
-          const SessionManager::StepStatus status = sessions_.Step(
-              request.session_id, request.indices, request.labels, &outcome);
-          if (status == SessionManager::StepStatus::kUnknownSession) {
-            SendError(connection, id,
-                      static_cast<uint32_t>(WireErrorCode::kUnknownSession),
-                      "unknown session");
-          } else if (status == SessionManager::StepStatus::kBusy) {
-            SendError(connection, id,
-                      static_cast<uint32_t>(WireErrorCode::kSessionBusy),
-                      "session is mid-step on another connection");
-          } else {
-            SendStepOutcome(connection, id, request.session_id, outcome);
-          }
-          break;
-        }
-        case MessageType::kSessionClose: {
-          const SessionCloseRequest request =
-              SessionCloseRequest::Unserialize(in);
-          in.ExpectEnd();
-          SessionClosedMessage reply;
-          reply.session_id = request.session_id;
-          reply.existed = sessions_.Close(request.session_id) ? 1 : 0;
-          WireStream out;
-          reply.Serialize(out);
-          SendOnConnection(connection,
-                           MakeFrame(MessageType::kSessionClosed, id, out));
-          break;
-        }
-        case MessageType::kStatsRequest: {
-          in.ExpectEnd();
-          StatsResponse reply;
-          const obs::MetricsSnapshot snapshot =
-              obs::MetricsRegistry::Global().Snapshot();
-          for (const obs::MetricSample& sample : snapshot.samples) {
-            if (sample.kind != obs::MetricSample::Kind::kCounter) continue;
-            reply.counters.emplace_back(
-                sample.name, static_cast<uint64_t>(sample.value));
-          }
-          WireStream out;
-          reply.Serialize(out);
-          SendOnConnection(connection,
-                           MakeFrame(MessageType::kStatsResponse, id, out));
-          break;
-        }
-        case MessageType::kShutdown: {
-          WireStream out;
-          SendOnConnection(connection,
-                           MakeFrame(MessageType::kShutdown, id, out));
-          if (options_.allow_remote_shutdown) RequestStop();
-          break;
-        }
-        default:
-          MC_COUNTER("mc.srv.protocol_errors", 1);
-          SendError(connection, id,
-                    static_cast<uint32_t>(WireErrorCode::kBadRequest),
-                    "message type is not a request");
-          break;
+  MC_LATENCY("mc.lat.srv_handler");
+  MC_COUNTER("mc.srv.requests", 1);
+  const uint64_t id = frame.request_id;
+  try {
+    WireStream in(frame.payload);
+    switch (static_cast<MessageType>(frame.type)) {
+      case MessageType::kPing: {
+        const PingMessage ping = PingMessage::Unserialize(in);
+        in.ExpectEnd();
+        WireStream out;
+        ping.Serialize(out);
+        SendOnConnection(connection, MakeFrame(MessageType::kPong, id, out));
+        break;
       }
-    } catch (const WireError& error) {
-      MC_COUNTER("mc.srv.protocol_errors", 1);
-      SendError(connection, id,
-                static_cast<uint32_t>(WireErrorCode::kBadRequest),
-                error.what());
-      keep_open = false;
+      case MessageType::kPassiveSolveRequest: {
+        const PassiveSolveRequest request =
+            PassiveSolveRequest::Unserialize(in);
+        in.ExpectEnd();
+        // The wire enum is open; refuse a solver this server lacks
+        // rather than answer with a different one.
+        if (request.algorithm !=
+            static_cast<uint8_t>(WireSolverAlgorithm::kFlowExact)) {
+          throw WireError("unknown passive algorithm " +
+                          std::to_string(request.algorithm));
+        }
+        MC_COUNTER("mc.srv.passive_solves", 1);
+        WeightedPointSet weighted;
+        for (size_t i = 0; i < request.points.size(); ++i) {
+          const double w = request.weights.empty() ? 1.0 : request.weights[i];
+          weighted.Add(request.points[i], request.labels[i], w);
+        }
+        PassiveSolveOptions solve_options;
+        solve_options.reduce_to_contending =
+            request.reduce_to_contending != 0;
+        // Serial, like every solve a handler starts: the handler slots
+        // bound the server's concurrent work, one thread per frame.
+        solve_options.parallel.threads = 1;
+        // kAuto routes large instances through the sparse chain-relay
+        // network build automatically.
+        const ::monoclass::PassiveSolveResult solved =
+            SolvePassiveWeighted(weighted, solve_options);
+        net::PassiveSolveResult reply;
+        reply.classifier = solved.classifier;
+        reply.optimal_weighted_error = solved.optimal_weighted_error;
+        reply.network_vertices = solved.network_vertices;
+        reply.network_finite_edges = solved.network_finite_edges;
+        reply.used_sparse_network = solved.used_sparse_network ? 1 : 0;
+        WireStream out;
+        reply.Serialize(out);
+        SendOnConnection(connection,
+                         MakeFrame(MessageType::kPassiveSolveResult, id, out));
+        break;
+      }
+      case MessageType::kSessionOpen: {
+        SessionOpenRequest request = SessionOpenRequest::Unserialize(in);
+        in.ExpectEnd();
+        SessionOptions session_options;
+        session_options.seed = request.seed;
+        session_options.epsilon = request.epsilon;
+        session_options.delta = request.delta;
+        session_options.algorithm = request.algorithm;
+        Session::StepOutcome outcome;
+        const uint64_t session_id = sessions_.Open(
+            std::move(request.points), session_options, &outcome);
+        SendStepOutcome(connection, id, session_id, outcome);
+        break;
+      }
+      case MessageType::kSessionStep: {
+        const SessionStepRequest request = SessionStepRequest::Unserialize(in);
+        in.ExpectEnd();
+        MC_COUNTER("mc.srv.session_steps", 1);
+        Session::StepOutcome outcome;
+        const SessionManager::StepStatus status = sessions_.Step(
+            request.session_id, request.indices, request.labels, &outcome);
+        if (status == SessionManager::StepStatus::kUnknownSession) {
+          SendError(connection, id,
+                    static_cast<uint32_t>(WireErrorCode::kUnknownSession),
+                    "unknown session");
+        } else if (status == SessionManager::StepStatus::kBusy) {
+          SendError(connection, id,
+                    static_cast<uint32_t>(WireErrorCode::kSessionBusy),
+                    "session is mid-step on another connection");
+        } else {
+          SendStepOutcome(connection, id, request.session_id, outcome);
+        }
+        break;
+      }
+      case MessageType::kSessionClose: {
+        const SessionCloseRequest request =
+            SessionCloseRequest::Unserialize(in);
+        in.ExpectEnd();
+        SessionClosedMessage reply;
+        reply.session_id = request.session_id;
+        reply.existed = sessions_.Close(request.session_id) ? 1 : 0;
+        WireStream out;
+        reply.Serialize(out);
+        SendOnConnection(connection,
+                         MakeFrame(MessageType::kSessionClosed, id, out));
+        break;
+      }
+      case MessageType::kStatsRequest: {
+        in.ExpectEnd();
+        StatsResponse reply;
+        const obs::MetricsSnapshot snapshot =
+            obs::MetricsRegistry::Global().Snapshot();
+        for (const obs::MetricSample& sample : snapshot.samples) {
+          if (sample.kind != obs::MetricSample::Kind::kCounter) continue;
+          reply.counters.emplace_back(sample.name,
+                                      static_cast<uint64_t>(sample.value));
+        }
+        WireStream out;
+        reply.Serialize(out);
+        SendOnConnection(connection,
+                         MakeFrame(MessageType::kStatsResponse, id, out));
+        break;
+      }
+      case MessageType::kShutdown: {
+        WireStream out;
+        SendOnConnection(connection,
+                         MakeFrame(MessageType::kShutdown, id, out));
+        if (options_.allow_remote_shutdown) RequestStop();
+        break;
+      }
+      default:
+        MC_COUNTER("mc.srv.protocol_errors", 1);
+        SendError(connection, id,
+                  static_cast<uint32_t>(WireErrorCode::kBadRequest),
+                  "message type is not a request");
+        break;
     }
-    latch.Signal();
-  });
-  latch.Await();
-  return keep_open;
+  } catch (const WireError& error) {
+    MC_COUNTER("mc.srv.protocol_errors", 1);
+    SendError(connection, id, static_cast<uint32_t>(WireErrorCode::kBadRequest),
+              error.what());
+    return false;
+  }
+  return true;
 }
 
 void Server::SendStepOutcome(Connection* connection, uint64_t request_id,

@@ -4,14 +4,18 @@
 // Embeddable monoclassd server core (docs/serving.md).
 //
 // One acceptor thread hands each connection to a dedicated reader
-// thread; every decoded frame becomes a task on a shared ThreadPool, so
-// CPU-bound solves from many connections multiplex over a bounded
-// worker set while the readers stay cheap. Requests on one connection
-// are handled in order (the reader waits for the handler before reading
-// the next frame); sessions live in a SessionManager keyed by u64 ids,
-// so a client may drop its connection and resume a session from a new
-// one. All synchronization goes through the mc:: seam
-// (util/concurrency.h), keeping the model checker applicable.
+// thread, and the reader handles every frame it decodes itself: decode,
+// dispatch, solve or replay, answer. Requests on one connection are
+// therefore handled in order. Across connections at most
+// ServerOptions::parallel frames are handled at once: a reader takes a
+// free handler slot before it handles a frame and waits for one
+// (mc.lat.srv_slot_wait) while all are taken. Every solve a handler
+// starts runs serially, so a frame occupies exactly one thread and the
+// slot count bounds the server's concurrent solver work. Sessions live
+// in a SessionManager keyed by u64 ids, so a client may drop its
+// connection and resume a session from a new one. All synchronization
+// goes through the mc:: seam (util/concurrency.h), keeping the model
+// checker applicable.
 //
 // tools/monoclassd.cc is the thin daemon main around this class;
 // tests/net_server_test.cc embeds it in-process.
@@ -35,8 +39,9 @@ namespace net {
 struct ServerOptions {
   std::string host = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read back via Server::port()
-  // Worker pool sizing for frame handlers (ParallelOptions semantics:
-  // 0 = hardware concurrency).
+  // The most frames handled at once across all connections
+  // (ParallelOptions semantics: 0 = hardware concurrency). Each frame is
+  // handled on its connection's reader thread once it holds a slot.
   ParallelOptions parallel;
   SessionManager::Config sessions;
   // Honor kShutdown frames (the load generator's clean-exit path).
@@ -77,6 +82,9 @@ class Server {
 
   void AcceptLoop();
   void ConnectionLoop(Connection* connection);
+  // Blocks until a handler slot is free and takes it; times the wait.
+  void AcquireHandlerSlot() MC_EXCLUDES(slot_mu_);
+  void ReleaseHandlerSlot() MC_EXCLUDES(slot_mu_);
   // Decodes, dispatches and answers one frame. Returns false when the
   // connection must close (protocol error already reported).
   bool HandleFrame(Connection* connection, const Frame& frame);
@@ -90,7 +98,6 @@ class Server {
 
   const ServerOptions options_;
   SessionManager sessions_;
-  ThreadPool pool_;
   Listener listener_;
   uint16_t port_ = 0;
 
@@ -98,6 +105,10 @@ class Server {
   CondVar state_cv_;
   bool running_ MC_GUARDED_BY(state_mu_) = false;
   bool stop_requested_ MC_GUARDED_BY(state_mu_) = false;
+
+  Mutex slot_mu_;
+  CondVar slot_cv_;
+  size_t free_slots_ MC_GUARDED_BY(slot_mu_);
 
   mc::thread acceptor_;
   Mutex conn_mu_;

@@ -110,10 +110,12 @@ Session::StepOutcome Session::Step(const std::vector<uint64_t>& indices,
   solve_options.sampling =
       ActiveSamplingParams::Practical(options_.epsilon, options_.delta);
   solve_options.seed = options_.seed;
-  // Bit-determinism per session: the replay runs serially; concurrency
-  // comes from many sessions sharing the server pool, not from chains
-  // within one session.
+  // The replay runs serially on the calling thread, the per-chain solves
+  // and the Sigma solve alike: a server handles each frame on its reader
+  // thread, and concurrency comes from many sessions in flight, never
+  // from a fan-out to the shared pool within one session.
   solve_options.parallel.threads = 1;
+  solve_options.passive.parallel.threads = 1;
   ++replays_;
   MC_COUNTER("mc.srv.session_replays", 1);
 

@@ -4,7 +4,6 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <ostream>
 
@@ -44,15 +43,6 @@ void AtomicAdd(mc::atomic<double>& target, double delta) {
 
 }  // namespace
 
-int Histogram::BucketIndex(double value) {
-  if (!(value > 0.0)) return 0;  // <= 0 and NaN land in the bottom bucket
-  const int exponent = std::ilogb(value);
-  const int bucket = exponent + kBucketBias;
-  if (bucket < 0) return 0;
-  if (bucket >= kNumBuckets) return kNumBuckets - 1;
-  return bucket;
-}
-
 void Histogram::Observe(double value) {
   const uint64_t previous = count_.fetch_add(1, mc::memory_order_relaxed);
   AtomicAdd(sum_, value);
@@ -66,7 +56,6 @@ void Histogram::Observe(double value) {
   }
   AtomicMin(min_, value);
   AtomicMax(max_, value);
-  buckets_[BucketIndex(value)].fetch_add(1, mc::memory_order_relaxed);
 }
 
 double Histogram::Min() const {
@@ -82,18 +71,11 @@ double Histogram::Mean() const {
   return n == 0 ? 0.0 : Sum() / static_cast<double>(n);
 }
 
-uint64_t Histogram::BucketCount(int bucket) const {
-  MC_CHECK_GE(bucket, 0);
-  MC_CHECK_LT(bucket, kNumBuckets);
-  return buckets_[bucket].load(mc::memory_order_relaxed);
-}
-
 void Histogram::Reset() {
   count_.store(0, mc::memory_order_relaxed);
   sum_.store(0.0, mc::memory_order_relaxed);
   min_.store(0.0, mc::memory_order_relaxed);
   max_.store(0.0, mc::memory_order_relaxed);
-  for (auto& bucket : buckets_) bucket.store(0, mc::memory_order_relaxed);
 }
 
 const MetricSample* MetricsSnapshot::Find(std::string_view name) const {
@@ -239,37 +221,6 @@ void MetricsRegistry::ResetAll() {
 
 void MetricsRegistry::WriteJson(std::ostream& out) const {
   WriteSnapshotJson(Snapshot(), out);
-}
-
-void MetricsRegistry::WriteText(std::ostream& out) const {
-  const MetricsSnapshot snapshot = Snapshot();
-  size_t width = 0;
-  for (const MetricSample& sample : snapshot.samples) {
-    width = std::max(width, sample.name.size());
-  }
-  for (const MetricSample& sample : snapshot.samples) {
-    out << sample.name << std::string(width - sample.name.size() + 2, ' ');
-    switch (sample.kind) {
-      case MetricSample::Kind::kCounter:
-        out << static_cast<uint64_t>(sample.value) << " (counter)";
-        break;
-      case MetricSample::Kind::kGauge:
-        out << sample.value << " (gauge)";
-        break;
-      case MetricSample::Kind::kHistogram:
-        out << "count=" << sample.count << " sum=" << sample.sum
-            << " min=" << sample.min << " max=" << sample.max
-            << " mean=" << sample.value << " (histogram)";
-        break;
-      case MetricSample::Kind::kLatency:
-        out << "count=" << sample.count << " p50=" << sample.p50
-            << " p90=" << sample.p90 << " p99=" << sample.p99
-            << " p999=" << sample.p999 << " max=" << sample.max
-            << " (latency, us)";
-        break;
-    }
-    out << "\n";
-  }
 }
 
 void MetricsRegistry::ExposeText(std::ostream& out) const {

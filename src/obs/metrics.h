@@ -1,8 +1,8 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Process-wide metrics registry: named counters, gauges and log-bucket
-// histograms behind the MC_COUNTER / MC_GAUGE / MC_HISTOGRAM macros
+// Process-wide metrics registry: named counters, gauges and histograms
+// behind the MC_COUNTER / MC_GAUGE / MC_HISTOGRAM macros
 // (see obs/obs.h for the gating rules).
 //
 // Design constraints, in order:
@@ -56,16 +56,10 @@ class Gauge {
   mc::atomic<double> value_{0.0};
 };
 
-// Histogram over doubles with power-of-two buckets: bucket b counts
-// observations v with 2^(b-kBucketBias) <= |v| < 2^(b-kBucketBias+1)
-// (bucket 0 additionally absorbs v <= 0 and denormals). Tracks count,
-// sum, min and max exactly; the buckets give shape at ~2x resolution,
-// which is enough for "how skewed are the level sizes" questions.
+// Moments of a stream of doubles: count, sum, min and max, tracked
+// exactly (the mean follows). Quantiles are LatencyHistogram's job.
 class Histogram {
  public:
-  static constexpr int kNumBuckets = 64;
-  static constexpr int kBucketBias = 16;  // bucket 16 covers [1, 2)
-
   void Observe(double value);
 
   uint64_t Count() const { return count_.load(mc::memory_order_relaxed); }
@@ -73,10 +67,6 @@ class Histogram {
   double Min() const;  // +inf when empty
   double Max() const;  // -inf when empty
   double Mean() const;
-  uint64_t BucketCount(int bucket) const;
-
-  // Index of the bucket `value` lands in (exposed for tests).
-  static int BucketIndex(double value);
 
   void Reset();
 
@@ -85,7 +75,6 @@ class Histogram {
   mc::atomic<double> sum_{0.0};
   mc::atomic<double> min_{0.0};
   mc::atomic<double> max_{0.0};
-  mc::atomic<uint64_t> buckets_[kNumBuckets] = {};
 };
 
 // One metric in a point-in-time snapshot.
@@ -136,9 +125,6 @@ class MetricsRegistry {
   // {"count":..,"sum":..,"min":..,"max":..,"mean":..}}, "latencies":
   // {name: {..., "p50":..,"p90":..,"p99":..,"p999":..}}}
   void WriteJson(std::ostream& out) const;
-
-  // Aligned name/value table for terminal output.
-  void WriteText(std::ostream& out) const;
 
   // Prometheus-style text exposition (docs/observability.md#exposition):
   // one `# TYPE` comment per metric, `name value` lines, latency

@@ -26,7 +26,8 @@
 //
 //   MC_COUNTER("name", delta)    monotone counter += delta
 //   MC_GAUGE("name", value)      last-value gauge
-//   MC_HISTOGRAM("name", value)  log-bucket histogram observation
+//   MC_HISTOGRAM("name", value)  histogram observation (count, sum,
+//                                min, max)
 //   MC_SPAN("name")              RAII span for the enclosing scope:
 //                                flight-recorder begin/end events when
 //                                recording is on
@@ -36,7 +37,6 @@
 //                                emits flight-recorder begin/end events
 //                                when recording is on. Names must
 //                                start with "mc.lat." (lint rule MC010).
-//   MC_OBS(code)                 arbitrary code gated like the macros
 //
 // Metric names are string literals; each macro expansion resolves its
 // registry entry once (function-local static) so the steady-state hot
@@ -195,13 +195,6 @@ class LatencyScope {
         return mc_obs_latency;                                              \
       })
 
-#define MC_OBS(code)                   \
-  do {                                 \
-    if (::monoclass::obs::Enabled()) { \
-      code;                            \
-    }                                  \
-  } while (0)
-
 #else  // !MC_OBS_COMPILED
 
 #define MC_COUNTER(name, delta) \
@@ -218,9 +211,6 @@ class LatencyScope {
   } while (0)
 #define MC_LATENCY(name) \
   do {                   \
-  } while (0)
-#define MC_OBS(code) \
-  do {               \
   } while (0)
 
 #endif  // MC_OBS_COMPILED

@@ -12,6 +12,7 @@
 #include "obs/trace.h"
 #include "util/check.h"
 #include "util/concurrency.h"
+#include "util/sync_model.h"
 
 namespace monoclass {
 namespace obs {
@@ -23,9 +24,8 @@ struct TelemetryState {
   bool stop MC_GUARDED_BY(mu) = false;
   std::string path;
   int interval_ms = 0;
-  // Owned 1-worker pool running the snapshot loop; destroyed (drained +
-  // joined) by StopTelemetry.
-  ThreadPool* pool = nullptr;
+  // Runs the snapshot loop; joined by StopTelemetry.
+  mc::thread writer;
 };
 
 TelemetryState* g_telemetry = nullptr;
@@ -73,9 +73,8 @@ bool StartTelemetry(const std::string& path, int interval_ms) {
   auto* state = new TelemetryState();
   state->path = path;
   state->interval_ms = interval_ms;
-  state->pool = new ThreadPool(1);
   g_telemetry = state;
-  state->pool->Submit([state] { TelemetryLoop(state); });
+  state->writer = mc::thread([state] { TelemetryLoop(state); });
   return true;
 }
 
@@ -87,7 +86,7 @@ void StopTelemetry() {
     state->stop = true;
   }
   state->cv.NotifyAll();
-  delete state->pool;  // drains the loop task and joins the worker
+  state->writer.join();
   WriteTelemetrySnapshot(state->path);
   g_telemetry = nullptr;
   delete state;

@@ -2,8 +2,9 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Periodic telemetry snapshots for live consumers (tools/mc_top): a
-// background thread (a dedicated 1-worker ThreadPool, so the shared
-// solve pool is never occupied) wakes every `interval_ms` and writes
+// background writer thread (its own mc::thread, outside every pool, so
+// it adds nothing to the mc.pool.* metrics) wakes every `interval_ms`
+// and writes
 //
 //   <path>         Prometheus-style exposition text
 //                  (MetricsRegistry::ExposeText) prefixed with

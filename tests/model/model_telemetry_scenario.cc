@@ -2,11 +2,10 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // mc_model scenario for the telemetry publisher (src/obs/telemetry.cc):
-// StartTelemetry spins up a one-worker pool running TelemetryLoop,
-// which writes a snapshot and then blocks in a timed condition-variable
-// wait; StopTelemetry races the stop-flag write and notification
-// against the loop's wait/timeout/rewrite cycle, then joins the worker
-// through the pool destructor.
+// StartTelemetry spawns an mc::thread running TelemetryLoop, which
+// writes a snapshot and then blocks in a timed condition-variable wait;
+// StopTelemetry races the stop-flag write and notification against the
+// loop's wait/timeout/rewrite cycle, then joins the writer thread.
 //
 // The timed wait makes the schedule tree infinite (every timeout is
 // another loop iteration), so this scenario is inherently BOUNDED:

@@ -5,12 +5,14 @@
 // loopback port, driven by the blocking Client over actual sockets.
 // Covers the request/response surface (ping, passive solve, full
 // sessions, stats, close, shutdown), cross-connection session resume,
-// and the error paths a remote peer can trigger.
+// the error paths a remote peer can trigger, and the thread model: each
+// frame is handled on its reader thread, at most `parallel` at once.
 
 #include "net/server.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "active/multi_d.h"
@@ -21,6 +23,7 @@
 #include "obs/obs.h"
 #include "passive/flow_solver.h"
 #include "test_util.h"
+#include "util/sync_model.h"
 
 namespace monoclass {
 namespace net {
@@ -33,6 +36,47 @@ LabeledPointSet MakeInstance(size_t n, uint64_t seed) {
   options.noise_flips = n / 10;
   options.seed = seed;
   return GeneratePlanted(options).data;
+}
+
+// Opens a session for `instance` and answers every probe batch fully
+// until the server returns the result.
+Client::SessionState DriveSession(Client& client,
+                                  const LabeledPointSet& instance,
+                                  uint64_t seed) {
+  SessionOpenRequest open;
+  open.points = instance.points();
+  open.seed = seed;
+  open.epsilon = 0.5;
+  open.delta = 0.01;
+  Client::SessionState state = client.OpenSession(open);
+  while (!state.done) {
+    std::vector<uint8_t> labels(state.probe_indices.size());
+    for (size_t i = 0; i < state.probe_indices.size(); ++i) {
+      labels[i] =
+          instance.label(static_cast<size_t>(state.probe_indices[i]));
+    }
+    state = client.StepSession(state.session_id, state.probe_indices,
+                               labels);
+  }
+  return state;
+}
+
+// The uninterrupted local solve a served session must reproduce.
+ActiveSolveResult LocalActiveSolve(const LabeledPointSet& instance,
+                                   uint64_t seed) {
+  InMemoryOracle oracle(instance);
+  ActiveSolveOptions options;
+  options.sampling = ActiveSamplingParams::Practical(0.5, 0.01);
+  options.seed = seed;
+  options.parallel.threads = 1;
+  return SolveActiveMultiD(instance.points(), oracle, options);
+}
+
+PassiveSolveRequest MakePassiveRequest(const LabeledPointSet& instance) {
+  PassiveSolveRequest request;
+  request.points = instance.points();
+  request.labels = instance.labels();
+  return request;
 }
 
 class ServerTest : public ::testing::Test {
@@ -63,10 +107,8 @@ TEST_F(ServerTest, PingEchoesNonce) {
 
 TEST_F(ServerTest, PassiveSolveMatchesLocalSolve) {
   const LabeledPointSet instance = MakeInstance(60, 5);
-  PassiveSolveRequest request;
-  request.points = instance.points();
-  request.labels = instance.labels();
-  const PassiveSolveResult remote = client_.PassiveSolve(request);
+  const PassiveSolveResult remote =
+      client_.PassiveSolve(MakePassiveRequest(instance));
 
   const ::monoclass::PassiveSolveResult local =
       SolvePassiveUnweighted(instance, PassiveSolveOptions{});
@@ -77,30 +119,8 @@ TEST_F(ServerTest, PassiveSolveMatchesLocalSolve) {
 TEST_F(ServerTest, FullSessionOverTheWireMatchesLocalActiveSolve) {
   const uint64_t seed = 9;
   const LabeledPointSet instance = MakeInstance(64, 21);
-
-  SessionOpenRequest open;
-  open.points = instance.points();
-  open.seed = seed;
-  open.epsilon = 0.5;
-  open.delta = 0.01;
-  Client::SessionState state = client_.OpenSession(open);
-  while (!state.done) {
-    std::vector<uint8_t> labels(state.probe_indices.size());
-    for (size_t i = 0; i < state.probe_indices.size(); ++i) {
-      labels[i] =
-          instance.label(static_cast<size_t>(state.probe_indices[i]));
-    }
-    state = client_.StepSession(state.session_id, state.probe_indices,
-                                labels);
-  }
-
-  InMemoryOracle oracle(instance);
-  ActiveSolveOptions reference_options;
-  reference_options.sampling = ActiveSamplingParams::Practical(0.5, 0.01);
-  reference_options.seed = seed;
-  reference_options.parallel.threads = 1;
-  const ActiveSolveResult reference =
-      SolveActiveMultiD(instance.points(), oracle, reference_options);
+  const Client::SessionState state = DriveSession(client_, instance, seed);
+  const ActiveSolveResult reference = LocalActiveSolve(instance, seed);
 
   EXPECT_EQ(state.result.classifier.generators(),
             reference.classifier.generators());
@@ -225,6 +245,108 @@ TEST_F(ServerTest, StatsReportServerCounters) {
   }
   EXPECT_GE(requests, 1u);
 }
+
+#if MC_OBS_COMPILED
+
+TEST_F(ServerTest, FramesRunOnTheirReaderThread) {
+  // A frame is handled on the thread that read it, and every solve it
+  // starts is serial: neither a handler hop nor a solver fan-out reaches
+  // a pool.
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+  EXPECT_EQ(client_.Ping(5), 5u);
+  client_.PassiveSolve(MakePassiveRequest(MakeInstance(200, 7)));
+  DriveSession(client_, MakeInstance(200, 7), 3);
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  obs::SetEnabled(false);
+  EXPECT_GE(snapshot.CounterValue("mc.srv.requests"), 4u);
+  EXPECT_EQ(snapshot.CounterValue("mc.pool.tasks"), 0u);
+}
+
+TEST(ServerSlotsTest, MoreClientsThanHandlerSlots) {
+  // Four clients share one handler slot: readers queue for it, and every
+  // answer is still the local solve's.
+  ServerOptions options;
+  options.port = 0;
+  options.parallel.threads = 1;
+  options.sessions.ttl_ms = 0;
+  Server server(options);
+  ASSERT_TRUE(server.Start());
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+
+  constexpr size_t kClients = 4;
+  constexpr size_t kSessionsPerClient = 3;
+  struct ClientRun {
+    std::vector<LabeledPointSet> instances;
+    std::vector<Client::SessionState> sessions;
+    PassiveSolveResult passive;
+    std::string error;
+  };
+  std::vector<ClientRun> runs(kClients);
+  for (size_t c = 0; c < kClients; ++c) {
+    for (size_t s = 0; s <= kSessionsPerClient; ++s) {
+      runs[c].instances.push_back(MakeInstance(40 + 8 * s, 50 + 10 * c + s));
+    }
+  }
+  std::vector<mc::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&server, &run = runs[c], c] {
+      try {
+        Client client;
+        if (!client.Connect("127.0.0.1", server.port())) {
+          run.error = "connect failed";
+          return;
+        }
+        for (size_t s = 0; s < kSessionsPerClient; ++s) {
+          run.sessions.push_back(
+              DriveSession(client, run.instances[s], 100 * c + s));
+        }
+        run.passive = client.PassiveSolve(
+            MakePassiveRequest(run.instances[kSessionsPerClient]));
+        client.Disconnect();
+      } catch (const WireError& error) {
+        run.error = error.what();
+      }
+    });
+  }
+  for (mc::thread& client : clients) client.join();
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  obs::SetEnabled(false);
+  server.Stop();
+
+  for (size_t c = 0; c < kClients; ++c) {
+    const ClientRun& run = runs[c];
+    ASSERT_EQ(run.error, "") << "client " << c;
+    ASSERT_EQ(run.sessions.size(), kSessionsPerClient);
+    for (size_t s = 0; s < kSessionsPerClient; ++s) {
+      const ActiveSolveResult local =
+          LocalActiveSolve(run.instances[s], 100 * c + s);
+      EXPECT_EQ(run.sessions[s].result.classifier.generators(),
+                local.classifier.generators())
+          << "client " << c << " session " << s;
+      EXPECT_EQ(run.sessions[s].result.probes, local.probes)
+          << "client " << c << " session " << s;
+    }
+    const ::monoclass::PassiveSolveResult local = SolvePassiveUnweighted(
+        run.instances[kSessionsPerClient], PassiveSolveOptions{});
+    EXPECT_EQ(run.passive.optimal_weighted_error,
+              local.optimal_weighted_error)
+        << "client " << c;
+    EXPECT_EQ(run.passive.classifier.generators(),
+              local.classifier.generators())
+        << "client " << c;
+  }
+  // Every handled frame waited for its slot exactly once.
+  const obs::MetricSample* slot_wait = snapshot.Find("mc.lat.srv_slot_wait");
+  ASSERT_NE(slot_wait, nullptr);
+  EXPECT_GT(slot_wait->count, 0u);
+  EXPECT_EQ(slot_wait->count, snapshot.CounterValue("mc.srv.requests"));
+}
+
+#endif  // MC_OBS_COMPILED
 
 TEST_F(ServerTest, RemoteShutdownUnblocksWait) {
   client_.Shutdown();

@@ -20,6 +20,7 @@
 #include "active/params.h"
 #include "data/synthetic.h"
 #include "net/wire.h"
+#include "obs/obs.h"
 #include "test_util.h"
 #include "util/concurrency.h"
 
@@ -163,6 +164,29 @@ TEST(SessionTest, RejectsEmptyPointSetAndUnknownAlgorithm) {
   bad.algorithm = 99;
   EXPECT_THROW(Session(MakeInstance(8, 1).points(), bad), WireError);
 }
+
+#if MC_OBS_COMPILED
+
+TEST(SessionTest, StepFromPlainThreadRunsNoPoolTasks) {
+  // A server steps sessions on its reader threads, which are not pool
+  // workers, so nothing but the session's own settings keeps the replay
+  // -- the per-chain solves and the Sigma solve -- off the shared pool.
+  if (ParallelOptions{}.Resolve() < 2) {
+    GTEST_SKIP() << "one hardware thread: every solve is serial anyway";
+  }
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+  const LabeledPointSet instance = MakeInstance(200, 7);
+  Session session(instance.points(), MakeOptions(3));
+  DriveToCompletion(session, instance);
+  const uint64_t tasks =
+      obs::MetricsRegistry::Global().Snapshot().CounterValue("mc.pool.tasks");
+  obs::SetEnabled(false);
+  EXPECT_GT(session.NumReplays(), 1u);
+  EXPECT_EQ(tasks, 0u);
+}
+
+#endif  // MC_OBS_COMPILED
 
 // ------------------------------------------------------------- manager
 

@@ -51,27 +51,6 @@ TEST(HistogramTest, TracksMoments) {
   EXPECT_DOUBLE_EQ(histogram.Mean(), 4.0);
 }
 
-TEST(HistogramTest, BucketIndexIsLogarithmic) {
-  // Bucket kBucketBias covers [1, 2).
-  EXPECT_EQ(Histogram::BucketIndex(1.0), Histogram::kBucketBias);
-  EXPECT_EQ(Histogram::BucketIndex(1.99), Histogram::kBucketBias);
-  EXPECT_EQ(Histogram::BucketIndex(2.0), Histogram::kBucketBias + 1);
-  EXPECT_EQ(Histogram::BucketIndex(1024.0), Histogram::kBucketBias + 10);
-  // Non-positive values land in bucket 0.
-  EXPECT_EQ(Histogram::BucketIndex(0.0), 0);
-  EXPECT_EQ(Histogram::BucketIndex(-5.0), 0);
-}
-
-TEST(HistogramTest, BucketCountsSumToCount) {
-  Histogram histogram;
-  for (int i = 1; i <= 100; ++i) histogram.Observe(static_cast<double>(i));
-  uint64_t total = 0;
-  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-    total += histogram.BucketCount(b);
-  }
-  EXPECT_EQ(total, 100u);
-}
-
 TEST(MetricsRegistryTest, CreateOnDemandWithStablePointers) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   Counter* a = registry.GetCounter("test.registry.stable");
@@ -220,17 +199,6 @@ TEST(ObsEnabledTest, MacrosRespectRuntimeSwitch) {
   SetEnabled(false);
   MC_COUNTER("test.enabled.c", 10);
   EXPECT_EQ(registry.Snapshot().CounterValue("test.enabled.c"), 3u);
-}
-
-TEST(ObsEnabledTest, McObsBlockGated) {
-  int ran = 0;
-  SetEnabled(false);
-  MC_OBS(++ran);
-  EXPECT_EQ(ran, 0);
-  SetEnabled(true);
-  MC_OBS(++ran);
-  EXPECT_EQ(ran, 1);
-  SetEnabled(false);
 }
 
 #endif  // MC_OBS_COMPILED

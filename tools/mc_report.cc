@@ -2,13 +2,12 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Pretty-printer and schema validator for the machine-readable outputs
-// the repo emits: BENCH_*.json (bench reports), TRACE_*.json (Chrome
-// traces) and metrics snapshots.
+// the repo emits: BENCH_*.json (bench reports) and TRACE_*.json (Chrome
+// traces).
 //
 // Usage:
 //   mc_report [--validate] file.json...
-//   mc_report --compare baseline.json current.json
-//             [--ignore prefix]... [--tolerance prefix=rel]...
+//   mc_report --compare baseline.json current.json [--ignore prefix]...
 //   mc_report --flight dump.flight
 //
 // Without --validate, prints a human-readable summary of each file.
@@ -17,14 +16,12 @@
 // smoke artifacts). The file kind is sniffed from its top-level keys:
 //   bench report  -- has "schema_version" and "phases"
 //   chrome trace  -- has "traceEvents"
-//   metrics dump  -- has "counters" / "gauges" / "histograms"
 //
 // With --compare, diffs two bench reports of the same experiment as a
 // deterministic regression gate: both inputs must first pass full bench
 // schema validation (a baseline missing a manifest field is a hard
 // error, not a silent vacuous pass), then per-phase counter deltas and
-// the final counter/gauge snapshot must match exactly -- or within a
-// declared relative tolerance (--tolerance mc.net.=0.05) -- while keys
+// the final counter/gauge snapshot must match exactly, while keys
 // under an --ignore prefix (machine-dependent pool metrics, say) are
 // skipped and wall-clock timings are reported but never gate. Exits
 // non-zero on any drift, listing every drifted key. CI uses this to pin
@@ -36,10 +33,7 @@
 // obs/flight.h) and writes the equivalent Chrome-trace JSON to stdout;
 // a decode summary (events, threads, wraparound losses) goes to stderr.
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -64,7 +58,6 @@ struct Options {
   // counter/gauge key, e.g. "mc.pool.tasks"), not the phase name,
   // so one --ignore silences a family across every phase.
   std::vector<std::string> ignore_prefixes;
-  std::vector<std::pair<std::string, double>> tolerances;
 };
 
 // Collects human-readable schema complaints for one file.
@@ -185,22 +178,13 @@ void ValidateChromeTrace(const JsonValue& root, Validator& v) {
   }
 }
 
-void ValidateMetricsDump(const JsonValue& root, Validator& v) {
-  v.Require(root, "counters", JsonValue::Type::kObject);
-  v.Require(root, "gauges", JsonValue::Type::kObject);
-  v.Require(root, "histograms", JsonValue::Type::kObject);
-}
-
-enum class FileKind { kBench, kTrace, kMetrics, kUnknown };
+enum class FileKind { kBench, kTrace, kUnknown };
 
 FileKind SniffKind(const JsonValue& root) {
   if (!root.is_object()) return FileKind::kUnknown;
   if (root.Find("schema_version") != nullptr && root.Find("phases") != nullptr)
     return FileKind::kBench;
   if (root.Find("traceEvents") != nullptr) return FileKind::kTrace;
-  if (root.Find("counters") != nullptr || root.Find("gauges") != nullptr ||
-      root.Find("histograms") != nullptr)
-    return FileKind::kMetrics;
   return FileKind::kUnknown;
 }
 
@@ -288,47 +272,11 @@ void PrintChromeTrace(const JsonValue& root) {
   }
 }
 
-void PrintMetricsDump(const JsonValue& root) {
-  for (const char* section : {"counters", "gauges"}) {
-    const JsonValue* group = root.Find(section);
-    if (group == nullptr || !group->is_object()) continue;
-    for (const auto& [name, value] : group->AsObject()) {
-      std::printf("  %-55s %14.6g\n", name.c_str(),
-                  value.is_number() ? value.AsNumber() : -1.0);
-    }
-  }
-  const JsonValue* histograms = root.Find("histograms");
-  if (histograms != nullptr && histograms->is_object()) {
-    for (const auto& [name, histogram] : histograms->AsObject()) {
-      const JsonValue* count = histogram.Find("count");
-      const JsonValue* mean = histogram.Find("mean");
-      std::printf("  %-55s n=%-8.0f mean=%.6g\n", name.c_str(),
-                  count != nullptr && count->is_number() ? count->AsNumber()
-                                                         : -1.0,
-                  mean != nullptr && mean->is_number() ? mean->AsNumber()
-                                                       : -1.0);
-    }
-  }
-  const JsonValue* latencies = root.Find("latencies");
-  if (latencies != nullptr && latencies->is_object()) {
-    for (const auto& [name, latency] : latencies->AsObject()) {
-      auto num = [&](const char* key) {
-        const JsonValue* value = latency.Find(key);
-        return value != nullptr && value->is_number() ? value->AsNumber()
-                                                      : -1.0;
-      };
-      std::printf("  %-55s n=%-8.0f p50=%.6g p99=%.6g max=%.6g us\n",
-                  name.c_str(), num("count"), num("p50"), num("p99"),
-                  num("max"));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // --compare: deterministic bench-regression gate.
 
 // One gate-able value extracted from a bench report. `metric` is the
-// bare counter/gauge name (what --ignore / --tolerance match against);
+// bare counter/gauge name (what --ignore matches against);
 // `where` says which phase or snapshot section it came from.
 struct GatedValue {
   std::string where;   // "phase <name>" or "snapshot counters" / "gauges"
@@ -379,21 +327,6 @@ bool MatchesPrefix(const std::string& metric,
     if (metric.rfind(prefix, 0) == 0) return true;
   }
   return false;
-}
-
-// Returns the relative tolerance for `metric`: the longest matching
-// --tolerance prefix wins; default 0 (exact).
-double ToleranceFor(const std::string& metric,
-                    const std::vector<std::pair<std::string, double>>& rules) {
-  size_t best_len = 0;
-  double best = 0.0;
-  for (const auto& [prefix, rel] : rules) {
-    if (metric.rfind(prefix, 0) == 0 && prefix.size() >= best_len) {
-      best_len = prefix.size();
-      best = rel;
-    }
-  }
-  return best;
 }
 
 std::optional<JsonValue> LoadJson(const std::string& path) {
@@ -475,15 +408,10 @@ int CompareBenchReports(const Options& options) {
       continue;
     }
     ++compared;
-    const double rel = ToleranceFor(base.metric, options.tolerances);
-    const double allowed = rel * std::max(1.0, std::abs(base.value));
-    if (std::abs(it->second.value - base.value) > allowed) {
+    if (it->second.value != base.value) {
       std::cerr << "DRIFT " << key << ": baseline " << base.value
                 << " vs current " << it->second.value
-                << (rel > 0.0
-                        ? " (tolerance " + std::to_string(rel) + " exceeded)"
-                        : " (exact match required)")
-                << "\n";
+                << " (exact match required)\n";
       ++drifts;
     }
   }
@@ -585,11 +513,8 @@ int ProcessFile(const std::string& path, bool validate) {
       case FileKind::kTrace:
         ValidateChromeTrace(*root, v);
         break;
-      case FileKind::kMetrics:
-        ValidateMetricsDump(*root, v);
-        break;
       case FileKind::kUnknown:
-        v.Fail("unrecognized file kind (no bench/trace/metrics keys)");
+        v.Fail("unrecognized file kind (no bench/trace keys)");
         break;
     }
     if (!v.ok()) {
@@ -609,9 +534,6 @@ int ProcessFile(const std::string& path, bool validate) {
     case FileKind::kTrace:
       PrintChromeTrace(*root);
       break;
-    case FileKind::kMetrics:
-      PrintMetricsDump(*root);
-      break;
     case FileKind::kUnknown:
       std::cout << "  (unrecognized JSON; valid but not a monoclass "
                    "report)\n";
@@ -622,8 +544,8 @@ int ProcessFile(const std::string& path, bool validate) {
 
 constexpr char kUsage[] =
     "usage: mc_report [--validate] file.json...\n"
-    "       mc_report --compare baseline.json current.json\n"
-    "                 [--ignore prefix]... [--tolerance prefix=rel]...\n"
+    "       mc_report --compare baseline.json current.json "
+    "[--ignore prefix]...\n"
     "       mc_report --flight dump.flight   (Chrome trace to stdout)\n";
 
 int Main(int argc, char** argv) {
@@ -642,25 +564,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       options.ignore_prefixes.emplace_back(argv[++i]);
-    } else if (arg == "--tolerance") {
-      if (i + 1 >= argc) {
-        std::cerr << "--tolerance needs a prefix=rel argument\n" << kUsage;
-        return 2;
-      }
-      const std::string rule = argv[++i];
-      const size_t eq = rule.find('=');
-      char* end = nullptr;
-      const double rel =
-          eq == std::string::npos
-              ? -1.0
-              : std::strtod(rule.c_str() + eq + 1, &end);
-      if (eq == std::string::npos || rel < 0.0 || end == nullptr ||
-          *end != '\0') {
-        std::cerr << "malformed --tolerance rule \"" << rule
-                  << "\" (want prefix=rel with rel >= 0)\n" << kUsage;
-        return 2;
-      }
-      options.tolerances.emplace_back(rule.substr(0, eq), rel);
     } else if (arg == "--help" || arg == "-h") {
       std::cout << kUsage;
       return 0;
@@ -686,8 +589,8 @@ int Main(int argc, char** argv) {
     }
     return CompareBenchReports(options);
   }
-  if (!options.ignore_prefixes.empty() || !options.tolerances.empty()) {
-    std::cerr << "--ignore/--tolerance only apply to --compare\n" << kUsage;
+  if (!options.ignore_prefixes.empty()) {
+    std::cerr << "--ignore only applies to --compare\n" << kUsage;
     return 2;
   }
   if (options.files.empty()) {

@@ -3,7 +3,8 @@
 # schema contracts CI leans on --
 #
 #   * --validate accepts a well-formed v3 bench report and rejects one
-#     whose manifest lost "threads" or whose metrics lost "latencies";
+#     whose manifest lost "threads" or whose metrics lost "latencies",
+#     and a bare metrics snapshot, which is no known file kind;
 #   * --compare hard-fails on schema-invalid inputs (historically it
 #     kind-sniffed only, so a truncated baseline passed vacuously) and
 #     still catches counter drift between two valid reports;
@@ -94,6 +95,13 @@ sed 's/"latencies":{[^}]*}}}/"latencies_gone":{}}/' "$tmp/good.json" \
 expect_fail "a v3 report without metrics.latencies" \
   'missing key "latencies"' \
   "$mc_report" --validate "$tmp/no_latencies.json"
+
+# A bare metrics snapshot is not a file kind mc_report knows: nothing
+# writes one outside a bench report.
+printf '{"counters":{"mc.flow.augments":42},"gauges":{},"histograms":{}}\n' \
+  > "$tmp/metrics_only.json"
+expect_fail "a bare metrics snapshot" "unrecognized file kind" \
+  "$mc_report" --validate "$tmp/metrics_only.json"
 
 # --- --compare: hard validation + drift ---------------------------------
 

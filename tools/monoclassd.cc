@@ -32,7 +32,7 @@ void Usage(const char* argv0) {
       "  --host H               bind address (default 127.0.0.1)\n"
       "  --port P               TCP port; 0 picks an ephemeral port\n"
       "  --port-file PATH       write the bound port to PATH (for CI)\n"
-      "  --threads N            handler pool size (0 = hardware)\n"
+      "  --threads N            frames handled at once (0 = hardware)\n"
       "  --session-capacity N   max live sessions before LRU eviction\n"
       "  --session-ttl-ms N     idle session expiry; 0 disables (CI)\n"
       "  --no-remote-shutdown   ignore kShutdown frames\n"
