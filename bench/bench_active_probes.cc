@@ -6,11 +6,12 @@
 //   * n grows at fixed w       -> probes grow polylogarithmically;
 //   * w grows at fixed n       -> probes grow ~linearly in w;
 //   * eps shrinks at fixed n,w -> probes grow ~1/eps^2.
-// A fourth table shows the greedy-decomposition ablation: more chains,
-// proportionally more probes. Chain decompositions are supplied by the
-// generator (the Lemma 6 cost is measured separately in E4), and every
-// cell averages several seeds. Run with the Practical constant preset
-// (see ActiveSamplingParams and EXPERIMENTS.md).
+// A fourth table shows the greedy-decomposition ablation: how many more
+// chains greedy finds (the w sweep shows probes scale with the chain
+// count). Chain decompositions are supplied by the generator (the
+// Lemma 6 cost is measured separately in E4), and every cell averages
+// several seeds. Run with the Practical constant preset (see
+// ActiveSamplingParams and EXPERIMENTS.md).
 
 #include <cmath>
 #include <iostream>
@@ -27,19 +28,14 @@ namespace {
 constexpr int kTrials = 3;
 
 // Mean probes of the Theorem 2 algorithm over seeds.
-RunningStat MeasureProbes(const ChainInstance& instance, double epsilon,
-                          bool greedy_chains = false) {
+RunningStat MeasureProbes(const ChainInstance& instance, double epsilon) {
   RunningStat probes;
   for (int trial = 0; trial < kTrials; ++trial) {
     InMemoryOracle oracle(instance.data);
     ActiveSolveOptions options;
     options.sampling = ActiveSamplingParams::Practical(epsilon, 0.05);
     options.seed = 1000 + static_cast<uint64_t>(trial);
-    if (greedy_chains) {
-      options.use_greedy_chains = true;
-    } else {
-      options.precomputed_chains = instance.chains;
-    }
+    options.precomputed_chains = instance.chains;
     const auto result =
         SolveActiveMultiD(instance.data.points(), oracle, options);
     probes.Add(static_cast<double>(result.probes));

@@ -71,8 +71,6 @@ ActiveSolveResult SolveActiveMultiD(const PointSet& points,
       decomposition = *options.precomputed_chains;
       MC_CHECK(ValidateChainDecomposition(points, decomposition))
           << "precomputed_chains is not a valid decomposition of the input";
-    } else if (options.use_greedy_chains) {
-      decomposition = GreedyChainDecomposition(points);
     } else if (options.use_fast_2d_chains && points.dimension() == 2) {
       decomposition = MinimumChainDecomposition2D(points);
     } else {

@@ -36,18 +36,16 @@ struct ActiveSolveOptions {
   ActiveSamplingParams sampling = ActiveSamplingParams::Practical(0.5, 0.01);
   // Deterministic seed for the sampling; every run is reproducible.
   uint64_t seed = 1;
-  // Ablation: replace the Lemma 6 minimum decomposition with the greedy
-  // one (more chains -> more probes; see bench_active_probes).
-  bool use_greedy_chains = false;
   // For 2D inputs, use the O(n log n) patience decomposition
   // (core/chain_decomposition_2d.h) instead of the O(dn^2 + n^2.5)
   // Lemma 6 path; identical chain count, much faster at scale. Ignored
-  // when d != 2 or when use_greedy_chains / precomputed_chains apply.
+  // when d != 2 or when precomputed_chains is set.
   bool use_fast_2d_chains = false;
   // Override the decomposition entirely (used by large-scale benches where
   // the workload generator already knows the chains, skipping the
-  // O(d n^2 + n^2.5) Lemma 6 step). Must be a valid decomposition of the
-  // input points.
+  // O(d n^2 + n^2.5) Lemma 6 step; an ablation passes
+  // GreedyChainDecomposition(points) for more chains -> more probes).
+  // Must be a valid decomposition of the input points.
   std::optional<ChainDecomposition> precomputed_chains;
   // Options for the final passive solve on Sigma.
   PassiveSolveOptions passive;

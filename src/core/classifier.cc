@@ -3,7 +3,6 @@
 
 #include "core/classifier.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -125,35 +124,6 @@ bool IsMonotoneAssignment(const PointSet& points,
     }
   }
   return true;
-}
-
-MonotoneClassifier Unite(const MonotoneClassifier& a,
-                         const MonotoneClassifier& b) {
-  MC_CHECK_EQ(a.dimension(), b.dimension());
-  std::vector<Point> generators = a.generators();
-  generators.insert(generators.end(), b.generators().begin(),
-                    b.generators().end());
-  return MonotoneClassifier::FromGenerators(std::move(generators),
-                                            a.dimension());
-}
-
-MonotoneClassifier Intersect(const MonotoneClassifier& a,
-                             const MonotoneClassifier& b) {
-  MC_CHECK_EQ(a.dimension(), b.dimension());
-  // x is in both regions iff x >= some g_a and x >= some g_b, i.e.,
-  // x >= max(g_a, g_b) coordinate-wise for some generator pair.
-  std::vector<Point> generators;
-  for (const Point& ga : a.generators()) {
-    for (const Point& gb : b.generators()) {
-      std::vector<double> coords(a.dimension());
-      for (size_t i = 0; i < a.dimension(); ++i) {
-        coords[i] = std::max(ga[i], gb[i]);
-      }
-      generators.push_back(Point(std::move(coords)));
-    }
-  }
-  return MonotoneClassifier::FromGenerators(std::move(generators),
-                                            a.dimension());
 }
 
 bool EquivalentOn(const MonotoneClassifier& a, const MonotoneClassifier& b,

@@ -98,20 +98,6 @@ bool IsMonotoneAssignment(const PointSet& points,
 // upward closure.
 std::vector<Point> MinimalGenerators(std::vector<Point> generators);
 
-// Classifier algebra. Monotone classifiers are upward-closed regions, and
-// upward-closed regions are closed under union and intersection, so the
-// pointwise OR / AND of two monotone classifiers is again monotone:
-//
-//   Unite(a, b)(x)     = a(x) || b(x)   (union of positive regions)
-//   Intersect(a, b)(x) = a(x) && b(x)   (intersection; generators are the
-//                                        coordinate-wise maxima of pairs)
-//
-// Both require a.dimension() == b.dimension().
-MonotoneClassifier Unite(const MonotoneClassifier& a,
-                         const MonotoneClassifier& b);
-MonotoneClassifier Intersect(const MonotoneClassifier& a,
-                             const MonotoneClassifier& b);
-
 // True iff the two classifiers agree on every point of `points` (finite
 // restriction equality; classifiers that differ off the set may compare
 // equal here).

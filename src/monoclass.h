@@ -31,7 +31,6 @@
 #include "passive/isotonic_1d.h"
 #include "passive/sparse_network.h"
 #include "passive/staircase_2d.h"
-#include "passive/threshold_index.h"
 
 // Active (probe-budgeted) solvers -- paper Problem 1.
 #include "active/baselines.h"

@@ -93,7 +93,9 @@ std::vector<uint8_t> EncodeFrame(const Frame& frame) {
   }
   std::vector<uint8_t> out;
   out.reserve(kFrameOverheadBytes + frame.payload.size());
-  out.insert(out.end(), kFrameMagic, kFrameMagic + 4);
+  // Byte by byte: gcc 12 reports a false -Wstringop-overflow for an
+  // insert() of the magic after reserve().
+  for (const uint8_t byte : kFrameMagic) out.push_back(byte);
   StoreU16(out, kProtocolVersion);
   StoreU16(out, frame.type);
   StoreU64(out, frame.request_id);

@@ -63,8 +63,6 @@ std::string BuildGitSha() { return MONOCLASS_GIT_SHA; }
 
 std::string BuildType() { return MONOCLASS_BUILD_TYPE; }
 
-#if MC_OBS_COMPILED
-
 namespace {
 
 // Pool/lock-activity hooks: util/concurrency cannot depend on the obs
@@ -119,9 +117,7 @@ void MutexContended(double wait_us) {
 
 // Installed at static-init time. Any binary whose code expands an MC_*
 // macro links this translation unit (obs::Enabled lives here), so every
-// instrumented build observes its pool automatically. When the build
-// compiles obs out this whole block disappears and the hooks stay null,
-// keeping the pool's hot path hook-free.
+// instrumented binary observes its pool automatically.
 [[maybe_unused]] const bool g_pool_hooks_installed = [] {
   auto& registry = MetricsRegistry::Global();
   g_pool_sinks = new PoolMetricSinks{
@@ -144,8 +140,6 @@ void MutexContended(double wait_us) {
 }();
 
 }  // namespace
-
-#endif  // MC_OBS_COMPILED
 
 }  // namespace obs
 }  // namespace monoclass

@@ -1,26 +1,15 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Observability entry point: compile-time and runtime gating for the
-// metrics / tracing macros, plus build metadata (git SHA, build type)
-// for run manifests.
+// Observability entry point: runtime gating for the metrics / tracing
+// macros, plus build metadata (git SHA, build type) for run manifests.
 //
-// Two gates stack:
-//
-//   * compile-time -- the MONOCLASS_OBS CMake option (default ON) defines
-//     MONOCLASS_OBS=1 for the whole build. When OFF, every MC_* macro
-//     below expands to nothing: no obs symbols are referenced from the
-//     instrumented hot paths and side effects in macro arguments are not
-//     evaluated. A single translation unit can opt out of a compiled-in
-//     build by defining MONOCLASS_OBS_DISABLE before including this
-//     header (tests/obs_compile_out_test.cc proves the expansion is
-//     inert).
-//   * runtime -- even when compiled in, the macros are no-ops (one
-//     relaxed atomic load) until obs::SetEnabled(true) is called or the
-//     MONOCLASS_OBS environment variable is set to 1/on/true. Event
-//     recording into the flight recorder (obs/flight.h) has its own
-//     switch layered on top: MONOCLASS_TRACE=1 turns it on together with
-//     the whole-run capture, --telemetry-dump turns on the live rings.
+// The macros are always compiled in. They are no-ops (one relaxed atomic
+// load and a branch) until obs::SetEnabled(true) is called or the
+// MONOCLASS_OBS environment variable is set to 1/on/true. Event
+// recording into the flight recorder (obs/flight.h) has its own switch
+// layered on top: MONOCLASS_TRACE=1 turns it on together with the
+// whole-run capture, --telemetry-dump turns on the live rings.
 //
 // The macros:
 //
@@ -47,13 +36,11 @@
 
 #include <string>
 
+#include "obs/flight.h"             // IWYU pragma: export
+#include "obs/latency_histogram.h"  // IWYU pragma: export
+#include "obs/metrics.h"            // IWYU pragma: export
+#include "obs/trace.h"              // IWYU pragma: export
 #include "util/sync_model.h"
-
-#if defined(MONOCLASS_OBS) && MONOCLASS_OBS && !defined(MONOCLASS_OBS_DISABLE)
-#define MC_OBS_COMPILED 1
-#else
-#define MC_OBS_COMPILED 0
-#endif
 
 namespace monoclass {
 namespace obs {
@@ -85,19 +72,6 @@ std::string BuildGitSha();
 
 // CMAKE_BUILD_TYPE of this build ("unknown" if not recorded).
 std::string BuildType();
-
-}  // namespace obs
-}  // namespace monoclass
-
-#if MC_OBS_COMPILED
-
-#include "obs/flight.h"             // IWYU pragma: export
-#include "obs/latency_histogram.h"  // IWYU pragma: export
-#include "obs/metrics.h"            // IWYU pragma: export
-#include "obs/trace.h"              // IWYU pragma: export
-
-namespace monoclass {
-namespace obs {
 
 // RAII timer behind MC_LATENCY: resolves its LatencyHistogram once per
 // call site (the resolver is a captureless lambda holding the
@@ -194,25 +168,5 @@ class LatencyScope {
             ::monoclass::obs::MetricsRegistry::Global().GetLatency(name);   \
         return mc_obs_latency;                                              \
       })
-
-#else  // !MC_OBS_COMPILED
-
-#define MC_COUNTER(name, delta) \
-  do {                          \
-  } while (0)
-#define MC_GAUGE(name, value) \
-  do {                        \
-  } while (0)
-#define MC_HISTOGRAM(name, value) \
-  do {                            \
-  } while (0)
-#define MC_SPAN(name) \
-  do {                \
-  } while (0)
-#define MC_LATENCY(name) \
-  do {                   \
-  } while (0)
-
-#endif  // MC_OBS_COMPILED
 
 #endif  // MONOCLASS_OBS_OBS_H_

@@ -572,7 +572,7 @@ void IncrementalPassiveSolver::Rebuild() {
   if (!ones.empty()) {
     MC_SPAN("inc/rebuild_chains");
     const ChainDecomposition decomposition = ScalableChainDecomposition(
-        points_.Subset(ones), options_.exact_matching_limit);
+        points_.Subset(ones), kSparseExactMatchingLimit);
     chains_.assign(decomposition.NumChains(), {});
     for (size_t c = 0; c < decomposition.chains.size(); ++c) {
       for (const size_t k : decomposition.chains[c]) {

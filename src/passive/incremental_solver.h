@@ -71,8 +71,6 @@ struct IncrementalSolveOptions {
   double compact_dead_edge_ratio = 0.5;
   // Dead-edge compaction never triggers below this many dead entries.
   size_t compact_min_dead_edges = 64;
-  // Passed to ScalableChainDecomposition on rebuilds.
-  size_t exact_matching_limit = kSparseExactMatchingLimit;
 };
 
 // Lifetime counters for the delta pipeline (mirrored into the mc.inc.*

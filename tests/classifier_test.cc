@@ -3,7 +3,8 @@
 //
 // Tests for the minimal-generator monotone classifier: construction,
 // evaluation, the 1D threshold form of paper eq. (6)-(7), assignment
-// extension, and the monotonicity-by-construction property.
+// extension, the monotonicity-by-construction property, and
+// EquivalentOn.
 
 #include "core/classifier.h"
 
@@ -135,6 +136,15 @@ TEST(ClassifierTest, ClassificationIsMonotoneByConstruction) {
           Point{rng.UniformDouble(), rng.UniformDouble()});
     }
     const auto h = MonotoneClassifier::FromGenerators(generators, 2);
+    // The kept generators form an antichain.
+    const auto& gens = h.generators();
+    for (size_t i = 0; i < gens.size(); ++i) {
+      for (size_t j = 0; j < gens.size(); ++j) {
+        if (i != j) {
+          EXPECT_FALSE(DominatesEq(gens[i], gens[j]));
+        }
+      }
+    }
     for (int check = 0; check < 50; ++check) {
       const Point low{rng.UniformDouble(), rng.UniformDouble()};
       const Point high{low[0] + rng.UniformDouble(),
@@ -185,6 +195,16 @@ TEST(MonotoneAssignmentTest, AuditsDominancePairs) {
 TEST(ClassifierTest, ToStringMentionsGenerators) {
   const auto h = MonotoneClassifier::FromGenerators({Point{1, 2}}, 2);
   EXPECT_NE(h.ToString().find("(1, 2)"), std::string::npos);
+}
+
+TEST(EquivalentOnTest, DetectsDisagreement) {
+  const auto a = MonotoneClassifier::Threshold1D(1.0);
+  const auto b = MonotoneClassifier::Threshold1D(2.0);
+  const PointSet inside({Point{1.5}});
+  const PointSet outside({Point{0.5}, Point{3.0}});
+  EXPECT_FALSE(EquivalentOn(a, b, inside));
+  EXPECT_TRUE(EquivalentOn(a, b, outside));
+  EXPECT_TRUE(EquivalentOn(a, b, PointSet()));
 }
 
 }  // namespace

@@ -424,7 +424,6 @@ TEST_F(FlightTest, ChromeTraceIsWellFormed) {
   EXPECT_TRUE(names.count("flight_test.orphan"));
 }
 
-#if MC_OBS_COMPILED
 TEST_F(FlightTest, SpansAndLatencyScopesFeedTheRecorder) {
   SetEnabled(true);
   StartFlightRecording();
@@ -456,7 +455,6 @@ TEST_F(FlightTest, SpansAndLatencyScopesFeedTheRecorder) {
   EXPECT_TRUE(seen.count("flight_test.macro_counter"));
   EXPECT_EQ(span_pairs, 1);
 }
-#endif  // MC_OBS_COMPILED
 
 }  // namespace
 }  // namespace obs

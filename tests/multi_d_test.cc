@@ -152,7 +152,7 @@ TEST(MultiDActiveTest, GreedyChainsUseAtLeastWidthChains) {
 
   InMemoryOracle oracle_greedy(instance.data);
   ActiveSolveOptions greedy = minimum;
-  greedy.use_greedy_chains = true;
+  greedy.precomputed_chains = GreedyChainDecomposition(instance.data.points());
   const auto result_greedy =
       SolveActiveMultiD(instance.data.points(), oracle_greedy, greedy);
 

@@ -246,8 +246,6 @@ TEST_F(ServerTest, StatsReportServerCounters) {
   EXPECT_GE(requests, 1u);
 }
 
-#if MC_OBS_COMPILED
-
 TEST_F(ServerTest, FramesRunOnTheirReaderThread) {
   // A frame is handled on the thread that read it, and every solve it
   // starts is serial: neither a handler hop nor a solver fan-out reaches
@@ -345,8 +343,6 @@ TEST(ServerSlotsTest, MoreClientsThanHandlerSlots) {
   EXPECT_GT(slot_wait->count, 0u);
   EXPECT_EQ(slot_wait->count, snapshot.CounterValue("mc.srv.requests"));
 }
-
-#endif  // MC_OBS_COMPILED
 
 TEST_F(ServerTest, RemoteShutdownUnblocksWait) {
   client_.Shutdown();

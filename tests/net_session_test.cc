@@ -165,8 +165,6 @@ TEST(SessionTest, RejectsEmptyPointSetAndUnknownAlgorithm) {
   EXPECT_THROW(Session(MakeInstance(8, 1).points(), bad), WireError);
 }
 
-#if MC_OBS_COMPILED
-
 TEST(SessionTest, StepFromPlainThreadRunsNoPoolTasks) {
   // A server steps sessions on its reader threads, which are not pool
   // workers, so nothing but the session's own settings keeps the replay
@@ -185,8 +183,6 @@ TEST(SessionTest, StepFromPlainThreadRunsNoPoolTasks) {
   EXPECT_GT(session.NumReplays(), 1u);
   EXPECT_EQ(tasks, 0u);
 }
-
-#endif  // MC_OBS_COMPILED
 
 // ------------------------------------------------------------- manager
 

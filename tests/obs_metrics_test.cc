@@ -183,10 +183,6 @@ TEST(MetricsRegistryTest, ConcurrentUpdatesDoNotRace) {
   EXPECT_DOUBLE_EQ(histogram->Max(), 7.0);
 }
 
-// The macro-behavior tests only apply when the macros are compiled in;
-// obs_compile_out_test covers the opposite configuration.
-#if MC_OBS_COMPILED
-
 TEST(ObsEnabledTest, MacrosRespectRuntimeSwitch) {
   MetricsRegistry& registry = MetricsRegistry::Global();
   SetEnabled(false);
@@ -200,8 +196,6 @@ TEST(ObsEnabledTest, MacrosRespectRuntimeSwitch) {
   MC_COUNTER("test.enabled.c", 10);
   EXPECT_EQ(registry.Snapshot().CounterValue("test.enabled.c"), 3u);
 }
-
-#endif  // MC_OBS_COMPILED
 
 TEST(BuildMetadataTest, NonEmpty) {
   EXPECT_FALSE(BuildGitSha().empty());

@@ -219,9 +219,7 @@ TEST_F(TraceTest, MultiThreadedSpansKeepPerThreadBalance) {
 // --- acceptance scenario ------------------------------------------------
 // A real multi_d run with obs fully on: the trace must contain the
 // documented span hierarchy and the probe counters must match the
-// oracle's own accounting exactly. Needs the library's instrumentation
-// compiled in, so it is skipped in MONOCLASS_OBS=OFF builds.
-#if MC_OBS_COMPILED
+// oracle's own accounting exactly.
 TEST_F(TraceTest, EndToEndActiveRunTracesPipelineAndCountsProbes) {
   MetricsRegistry::Global().ResetAll();
   PlantedOptions options;
@@ -273,7 +271,6 @@ TEST_F(TraceTest, EndToEndActiveRunTracesPipelineAndCountsProbes) {
   EXPECT_EQ(result.probe_budget.w, result.num_chains);
   EXPECT_GT(result.probe_budget.theorem2_bound, 0.0);
 }
-#endif  // MC_OBS_COMPILED
 
 }  // namespace
 }  // namespace obs

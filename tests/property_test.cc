@@ -55,8 +55,13 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values<size_t>(1, 2, 3, 5)),
     [](const ::testing::TestParamInfo<std::tuple<size_t, size_t>>&
            param_info) {
-      return "n" + std::to_string(std::get<0>(param_info.param)) + "_d" +
-             std::to_string(std::get<1>(param_info.param));
+      // Appended, not chained with operator+: gcc 12 Release builds
+      // report a false -Wrestrict on the chain.
+      std::string name = "n";
+      name += std::to_string(std::get<0>(param_info.param));
+      name += "_d";
+      name += std::to_string(std::get<1>(param_info.param));
+      return name;
     });
 
 // ---------- chain decompositions across planted widths ----------

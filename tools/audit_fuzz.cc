@@ -266,7 +266,8 @@ void FuzzActiveSolve(Rng& rng) {
   if (path == 0) {
     options.precomputed_chains = instance.chains;
   } else if (path == 1) {
-    options.use_greedy_chains = true;
+    options.precomputed_chains =
+        GreedyChainDecomposition(instance.data.points());
   } else if (instance.data.dimension() == 2) {
     options.use_fast_2d_chains = true;
   }

@@ -14,12 +14,15 @@
 //   monoclassd --port 0 --port-file /tmp/mc.port --threads 4
 //   mc_top --once <dump>   # when started with --telemetry-dump <dump>
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <system_error>
 
 #include "monoclass.h"
 
@@ -39,6 +42,23 @@ void Usage(const char* argv0) {
       "  --telemetry-dump PATH  live metrics exposition for mc_top\n"
       "  --telemetry-interval-ms N   exposition refresh (default 250)\n",
       argv0);
+}
+
+// Parses all of `text` as a T no smaller than `lo`; anything else
+// (trailing characters, a sign on an unsigned flag, a value outside T or
+// below `lo`) exits 2.
+template <typename T>
+T ParseNumber(const char* flag, const char* text,
+              T lo = std::numeric_limits<T>::min()) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value < lo) {
+    std::fprintf(stderr, "monoclassd: invalid value '%s' for %s\n", text,
+                 flag);
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
@@ -65,23 +85,25 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       options.host = next("--host");
     } else if (arg == "--port") {
-      options.port = static_cast<uint16_t>(std::atoi(next("--port")));
+      options.port = ParseNumber<uint16_t>("--port", next("--port"));
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--threads") {
       options.parallel.threads =
-          static_cast<size_t>(std::atol(next("--threads")));
+          ParseNumber<size_t>("--threads", next("--threads"));
     } else if (arg == "--session-capacity") {
-      options.sessions.capacity =
-          static_cast<size_t>(std::atol(next("--session-capacity")));
+      options.sessions.capacity = ParseNumber<size_t>(
+          "--session-capacity", next("--session-capacity"));
     } else if (arg == "--session-ttl-ms") {
-      options.sessions.ttl_ms = std::atol(next("--session-ttl-ms"));
+      options.sessions.ttl_ms =
+          ParseNumber<int64_t>("--session-ttl-ms", next("--session-ttl-ms"));
     } else if (arg == "--no-remote-shutdown") {
       options.allow_remote_shutdown = false;
     } else if (arg == "--telemetry-dump") {
       telemetry_path = next("--telemetry-dump");
     } else if (arg == "--telemetry-interval-ms") {
-      telemetry_interval_ms = std::atoi(next("--telemetry-interval-ms"));
+      telemetry_interval_ms = ParseNumber<int>(
+          "--telemetry-interval-ms", next("--telemetry-interval-ms"), 1);
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       return 0;
@@ -95,8 +117,7 @@ int main(int argc, char** argv) {
   monoclass::obs::SetEnabled(true);
   if (!telemetry_path.empty()) {
     monoclass::obs::StartFlightRecording();
-    monoclass::obs::StartTelemetry(
-        telemetry_path, telemetry_interval_ms < 1 ? 250 : telemetry_interval_ms);
+    monoclass::obs::StartTelemetry(telemetry_path, telemetry_interval_ms);
   }
 
   Server server(options);
