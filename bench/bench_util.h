@@ -17,8 +17,10 @@
 #ifndef MONOCLASS_BENCH_BENCH_UTIL_H_
 #define MONOCLASS_BENCH_BENCH_UTIL_H_
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -31,6 +33,7 @@
 #include "obs/obs.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
+#include "tools/flag_parse.h"
 #include "util/json.h"
 #include "util/table.h"
 
@@ -188,23 +191,34 @@ class BenchReport {
 //                                  (see obs/telemetry.h and tools/mc_top)
 //   --telemetry-interval-ms <n>    snapshot period, default 250
 //
-// Consumed flags are stripped from argv in place; the returned value is
-// the new argc, so a bench with its own flags parses the remainder:
+// A missing or malformed value exits 2 (tools/flag_parse.h). Consumed
+// flags are stripped from argv in place; the returned value is the new
+// argc, so a bench with its own flags parses the remainder:
 //
 //   int main(int argc, char** argv) {
 //     argc = bench::ParseBenchArgs(argc, argv);
 //     ...bench-specific flags...
 //   }
 inline int ParseBenchArgs(int argc, char** argv) {
+  const std::string program =
+      std::filesystem::path(argv[0]).filename().string();
+  const auto value = [&](int& i) -> const char* {
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s: %s needs a value\n", program.c_str(),
+                   argv[i]);
+      std::exit(2);
+    }
+    return argv[++i];
+  };
   std::string telemetry_path;
   int interval_ms = 250;
   int out = 1;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--telemetry-dump") == 0 && i + 1 < argc) {
-      telemetry_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--telemetry-interval-ms") == 0 &&
-               i + 1 < argc) {
-      interval_ms = std::atoi(argv[++i]);
+    if (std::strcmp(argv[i], "--telemetry-dump") == 0) {
+      telemetry_path = value(i);
+    } else if (std::strcmp(argv[i], "--telemetry-interval-ms") == 0) {
+      interval_ms = tools::ParseFlagValue<int>(
+          program.c_str(), "--telemetry-interval-ms", value(i), 1);
     } else {
       argv[out++] = argv[i];
     }
@@ -212,7 +226,7 @@ inline int ParseBenchArgs(int argc, char** argv) {
   if (!telemetry_path.empty()) {
     obs::SetEnabled(true);
     obs::StartFlightRecording();
-    obs::StartTelemetry(telemetry_path, interval_ms < 1 ? 250 : interval_ms);
+    obs::StartTelemetry(telemetry_path, interval_ms);
   }
   return out;
 }

@@ -18,6 +18,8 @@
 //   * Every typed message that parses from a decoded payload
 //     re-serializes to a parse fixed point: parse(serialize(parse(x)))
 //     == parse(x), byte-for-byte on the serialized form.
+//   * Every passive-solve request that parses converts to the solver's
+//     input (ToWeightedPointSet) without tripping a precondition.
 
 #include <algorithm>
 #include <cstddef>
@@ -56,9 +58,15 @@ std::optional<std::vector<uint8_t>> Reserialize(uint16_t type,
       case MessageType::kError:
         net::ErrorMessage::Unserialize(in).Serialize(out);
         break;
-      case MessageType::kPassiveSolveRequest:
-        net::PassiveSolveRequest::Unserialize(in).Serialize(out);
+      case MessageType::kPassiveSolveRequest: {
+        const net::PassiveSolveRequest request =
+            net::PassiveSolveRequest::Unserialize(in);
+        // The server hands every request that decodes to the solver, so
+        // the conversion must accept it (a refused weight aborts here).
+        net::ToWeightedPointSet(request);
+        request.Serialize(out);
         break;
+      }
       case MessageType::kPassiveSolveResult:
         net::PassiveSolveResult::Unserialize(in).Serialize(out);
         break;

@@ -4,11 +4,14 @@
 // Differential fuzz harness for cold SolvePassiveWeighted.
 //
 // Decodes a weighted point set and solves it with every max-flow
-// backend, with and without the Lemma 15 contending reduction. All
-// paths must agree on the optimal weighted error; the returned
-// classifier must audit monotone (Lemma 16) and must actually achieve
-// the reported error on the input; small instances are additionally
-// checked against the exponential brute-force oracle.
+// backend, with or without the Lemma 15 contending reduction, on the
+// dense or the sparse chain-relay network build. All paths must agree
+// on the optimal weighted error; the returned classifier must audit
+// monotone (Lemma 16) and must actually achieve the reported error on
+// the input; instances of up to 13 points are additionally checked
+// against the exponential brute-force oracle. Built with
+// MONOCLASS_AUDIT=ON, each solve also re-verifies Lemmas 7/8/18 (and
+// relay purity on the sparse build) on the solved network.
 
 #include <cmath>
 #include <cstddef>
@@ -36,16 +39,19 @@ void FuzzOne(const uint8_t* data, size_t size) {
   FuzzInput in(data, size);
   const WeightedPointSet set = DecodeWeightedPointSet(in, 1, 40, 4);
   const bool reduce = in.TakeBool();
+  const bool sparse = in.TakeBool();
 
   double reference = -1.0;
   for (const MaxFlowAlgorithm algorithm : AllMaxFlowAlgorithms()) {
     PassiveSolveOptions options;
     options.algorithm = algorithm;
     options.reduce_to_contending = reduce;
+    options.network = sparse ? PassiveNetworkBuild::kSparseChainRelay
+                             : PassiveNetworkBuild::kDense;
     const PassiveSolveResult result = SolvePassiveWeighted(set, options);
     const std::string context =
         "passive/" + CreateMaxFlowSolver(algorithm)->Name() +
-        (reduce ? "/contending" : "/full");
+        (reduce ? "/contending" : "/full") + (sparse ? "/sparse" : "/dense");
 
     FuzzRequireAudit(AuditMonotone(result.classifier, set.points()), context);
     FuzzExpect(result.optimal_weighted_error >= -1e-9, context,
@@ -74,7 +80,7 @@ void FuzzOne(const uint8_t* data, size_t size) {
   }
 
   // Exponential ground truth on small instances.
-  if (set.size() <= 11) {
+  if (set.size() <= 13) {
     const BruteForceResult brute = SolvePassiveBruteForce(set);
     FuzzExpect(std::abs(brute.optimal_weighted_error - reference) <=
                    1e-6 * std::max(1.0, reference),

@@ -1,8 +1,7 @@
 // Copyright 2026 The monoclass Authors
 // Licensed under the Apache License, Version 2.0.
 //
-// Structure-aware decoding layer shared by every fuzz harness and by
-// tools/audit_fuzz.
+// Structure-aware decoding layer shared by every fuzz harness.
 //
 // A coverage-guided fuzzer hands us an arbitrary byte string; the
 // decoders below turn it into the library's input structures (point
@@ -11,18 +10,13 @@
 // exhausted input degrading to zeros, and all quantities quantized onto
 // coarse grids so that coordinate ties, duplicate points and weight
 // collisions -- the adversarial cases for the solvers -- stay common
-// under random mutation.
-//
-// The incremental-scenario codec is deliberately *invertible*
-// (EncodeIncrementalScenario round-trips through
-// DecodeIncrementalScenario): audit_fuzz persists a failing delta
-// stream as encoded bytes, and the very same file then works as a seed
-// or replay input for the fuzz_incremental libFuzzer harness, so every
-// crash artifact is corpus-compatible no matter which driver found it.
+// under random mutation. A harness that gains a field reads it after
+// its existing ones, so every checked-in corpus file (whose bytes run
+// out first and decode the new field as zero) keeps its old meaning.
 //
 // Everything here is header-only and depends only on the public
-// monoclass umbrella, so the harnesses, the standalone replay driver
-// and audit_fuzz can all include it without extra build plumbing.
+// monoclass umbrella, so every harness can include it without extra
+// build plumbing.
 
 #ifndef MONOCLASS_FUZZ_FUZZ_UTIL_H_
 #define MONOCLASS_FUZZ_FUZZ_UTIL_H_
@@ -84,17 +78,9 @@ class FuzzInput {
   // duplicate points are the adversarial regime for dominance scans.
   double GridCoord() { return static_cast<double>(TakeByte() % 8) / 4.0; }
 
-  // Strictly positive weight on the grid {0.1, 0.2, ..., 4.0}; the
-  // quantization is inverted by WeightToByte below.
+  // Strictly positive weight on the grid {0.1, 0.2, ..., 4.0}.
   double GridWeight() {
     return static_cast<double>(1 + TakeByte() % 40) / 10.0;
-  }
-
-  static uint8_t CoordToByte(double coord) {
-    return static_cast<uint8_t>(coord * 4.0 + 0.5);
-  }
-  static uint8_t WeightToByte(double weight) {
-    return static_cast<uint8_t>(weight * 10.0 + 0.5) - 1;
   }
 
  private:
@@ -107,9 +93,9 @@ class FuzzInput {
 // Failure reporting.
 //
 // Under libFuzzer an abort is a finding: the engine saves the offending
-// input as crash-<sha1> and exits. The standalone driver and audit_fuzz
-// get the same behavior, so a violation is always loud and always
-// reproducible from the saved bytes.
+// input as crash-<sha1> and exits. The standalone driver leaves each
+// random input's file behind when it aborts, so under either engine a
+// violation is loud and reproducible from the saved bytes.
 
 [[noreturn]] inline void FuzzFail(const std::string& context,
                                   const std::string& detail) {
@@ -248,6 +234,9 @@ struct IncrementalScenario {
   size_t dimension = 1;
   std::vector<ScenarioPoint> initial;
   std::vector<ScenarioDelta> deltas;
+  // Load `initial` through the bulk-load constructor (InitConflictCounts
+  // and one cold Rebuild) instead of one Insert per point.
+  bool bulk_load = false;
 };
 
 inline constexpr size_t kScenarioMaxInitialPoints = 16;
@@ -288,52 +277,8 @@ inline IncrementalScenario DecodeIncrementalScenario(FuzzInput& in) {
     }
     scenario.deltas.push_back(std::move(delta));
   }
+  scenario.bulk_load = in.TakeBool();
   return scenario;
-}
-
-// Inverse of DecodeIncrementalScenario for scenarios whose values lie on
-// the decoder's grids (true of everything the decoder itself produced
-// and of everything audit_fuzz generates). Weights are emitted in the
-// non-unit encoding -- GridWeight covers 1.0 -- so mixed-weight shrunken
-// repros stay representable.
-inline std::vector<uint8_t> EncodeIncrementalScenario(
-    const IncrementalScenario& scenario) {
-  MC_CHECK_LT(scenario.initial.size(), kScenarioMaxInitialPoints);
-  MC_CHECK_LT(scenario.deltas.size(), kScenarioMaxDeltas);
-  std::vector<uint8_t> out;
-  const auto push_u16 = [&out](uint16_t v) {
-    out.push_back(static_cast<uint8_t>(v & 0xff));
-    out.push_back(static_cast<uint8_t>(v >> 8));
-  };
-  uint8_t thread_index = 0;
-  if (scenario.threads == 2) thread_index = 1;
-  if (scenario.threads == 8) thread_index = 2;
-  out.push_back(thread_index);
-  out.push_back(static_cast<uint8_t>(scenario.dimension - 1));
-  out.push_back(0);  // unit_weights = false: weights encoded explicitly
-  out.push_back(static_cast<uint8_t>(scenario.initial.size()));
-  for (const ScenarioPoint& p : scenario.initial) {
-    for (const double c : p.coords) out.push_back(FuzzInput::CoordToByte(c));
-    out.push_back(p.label);
-    out.push_back(FuzzInput::WeightToByte(p.weight));
-  }
-  out.push_back(static_cast<uint8_t>(scenario.deltas.size()));
-  for (const ScenarioDelta& delta : scenario.deltas) {
-    out.push_back(static_cast<uint8_t>(delta.kind));
-    if (delta.kind == 0) {
-      for (const double c : delta.coords) {
-        out.push_back(FuzzInput::CoordToByte(c));
-      }
-      out.push_back(delta.label);
-      out.push_back(FuzzInput::WeightToByte(delta.weight));
-    } else if (delta.kind == 1) {
-      push_u16(delta.rank);
-    } else {
-      push_u16(delta.rank);
-      out.push_back(delta.label);
-    }
-  }
-  return out;
 }
 
 inline std::string DescribeCoords(const std::vector<double>& coords) {
@@ -348,7 +293,8 @@ inline std::string DescribeCoords(const std::vector<double>& coords) {
 inline std::string DescribeIncrementalScenario(
     const IncrementalScenario& scenario) {
   std::string out = "  threads=" + std::to_string(scenario.threads) +
-                    " d=" + std::to_string(scenario.dimension) + "\n";
+                    " d=" + std::to_string(scenario.dimension) +
+                    (scenario.bulk_load ? " bulk_load" : "") + "\n";
   for (const ScenarioPoint& p : scenario.initial) {
     out += "  init " + DescribeCoords(p.coords) +
            " label=" + std::to_string(p.label) +
@@ -378,9 +324,21 @@ inline std::string ReplayIncrementalScenario(
     const IncrementalScenario& scenario) {
   IncrementalSolveOptions options;
   options.parallel.threads = scenario.threads;
-  IncrementalPassiveSolver solver(options);
-  for (const ScenarioPoint& p : scenario.initial) {
-    solver.Insert(Point(p.coords), p.label, p.weight);
+  const auto initial_points = [&scenario] {
+    WeightedPointSet initial;
+    for (const ScenarioPoint& p : scenario.initial) {
+      initial.Add(Point(p.coords), p.label, p.weight);
+    }
+    return initial;
+  };
+  IncrementalPassiveSolver solver =
+      scenario.bulk_load
+          ? IncrementalPassiveSolver(initial_points(), options)
+          : IncrementalPassiveSolver(options);
+  if (!scenario.bulk_load) {
+    for (const ScenarioPoint& p : scenario.initial) {
+      solver.Insert(Point(p.coords), p.label, p.weight);
+    }
   }
 
   const auto check = [&solver](const std::string& where) -> std::string {

@@ -182,11 +182,7 @@ bool Server::HandleFrame(Connection* connection, const Frame& frame) {
                           std::to_string(request.algorithm));
         }
         MC_COUNTER("mc.srv.passive_solves", 1);
-        WeightedPointSet weighted;
-        for (size_t i = 0; i < request.points.size(); ++i) {
-          const double w = request.weights.empty() ? 1.0 : request.weights[i];
-          weighted.Add(request.points[i], request.labels[i], w);
-        }
+        const WeightedPointSet weighted = ToWeightedPointSet(request);
         PassiveSolveOptions solve_options;
         solve_options.reduce_to_contending =
             request.reduce_to_contending != 0;

@@ -97,11 +97,15 @@ Session::StepOutcome Session::Step(const std::vector<uint64_t>& indices,
   if (indices.size() != labels.size()) {
     throw WireError("answer indices/labels size mismatch");
   }
+  // Check every answer before recording any, so a rejected step leaves
+  // the session as it was.
   for (size_t i = 0; i < indices.size(); ++i) {
     if (indices[i] >= points_.size()) {
       throw WireError("answer index out of range");
     }
     if (labels[i] > 1) throw WireError("label outside {0,1}");
+  }
+  for (size_t i = 0; i < indices.size(); ++i) {
     known_.emplace(static_cast<size_t>(indices[i]), labels[i]);
   }
 

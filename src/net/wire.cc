@@ -308,9 +308,18 @@ PassiveSolveRequest PassiveSolveRequest::Unserialize(WireStream& s) {
     throw WireError("weights/points size mismatch");
   }
   for (const double w : m.weights) {
-    if (!std::isfinite(w) || w < 0.0) throw WireError("bad weight");
+    if (!std::isfinite(w) || !(w > 0.0)) throw WireError("bad weight");
   }
   return m;
+}
+
+WeightedPointSet ToWeightedPointSet(const PassiveSolveRequest& request) {
+  WeightedPointSet weighted;
+  for (size_t i = 0; i < request.points.size(); ++i) {
+    const double w = request.weights.empty() ? 1.0 : request.weights[i];
+    weighted.Add(request.points[i], request.labels[i], w);
+  }
+  return weighted;
 }
 
 void PassiveSolveResult::Serialize(WireStream& s) const {

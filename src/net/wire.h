@@ -167,8 +167,16 @@ struct PassiveSolveRequest {
   uint8_t reduce_to_contending = 1;
 
   void Serialize(WireStream& s) const;
+  // Rejects, besides malformed bytes, every request the solver would
+  // refuse: labels outside {0,1}, and weights that are not finite and
+  // strictly positive.
   static PassiveSolveRequest Unserialize(WireStream& s);
 };
+
+// The solver's input for a decoded request: the given weights, or unit
+// weights when `weights` is empty. Total on everything Unserialize
+// accepts (fuzz_frame converts every request it decodes).
+WeightedPointSet ToWeightedPointSet(const PassiveSolveRequest& request);
 
 struct PassiveSolveResult {
   MonotoneClassifier classifier = MonotoneClassifier::AlwaysZero(1);

@@ -233,6 +233,28 @@ TEST_F(ServerTest, UnknownPassiveAlgorithmGetsErrorReply) {
   }
 }
 
+TEST_F(ServerTest, ZeroWeightPassiveRequestGetsErrorReply) {
+  // A zero weight must get a typed error and leave the server serving;
+  // reaching WeightedPointSet::Add would abort the daemon.
+  const LabeledPointSet instance = MakeInstance(2, 3);
+  PassiveSolveRequest request = MakePassiveRequest(instance);
+  request.weights = {1.0, 0.0};
+  try {
+    client_.PassiveSolve(request);
+    FAIL() << "expected WireError";
+  } catch (const WireError& error) {
+    const std::string expected =
+        "server error " +
+        std::to_string(static_cast<uint32_t>(WireErrorCode::kBadRequest)) +
+        ": bad weight";
+    EXPECT_EQ(std::string(error.what()), expected);
+  }
+  Client fresh;
+  ASSERT_TRUE(fresh.Connect("127.0.0.1", server_->port()));
+  EXPECT_EQ(fresh.Ping(11), 11u);
+  fresh.Disconnect();
+}
+
 TEST_F(ServerTest, StatsReportServerCounters) {
   // Counters only record when obs is on (monoclassd enables it at boot).
   obs::SetEnabled(true);

@@ -158,6 +158,18 @@ TEST(SessionTest, RejectsBadAnswers) {
   EXPECT_THROW(session.Step({0, 1}, {1}), WireError);  // size mismatch
 }
 
+TEST(SessionTest, RejectedStepRecordsNoAnswers) {
+  // Answers are checked before any is recorded: a bad second answer
+  // must not leave the valid first one behind in the session.
+  const LabeledPointSet instance = MakeInstance(20, 31);
+  Session session(instance.points(), MakeOptions(3));
+  const size_t known = session.NumKnownLabels();
+  EXPECT_THROW(session.Step({0, uint64_t{1} << 30}, {1, 0}), WireError);
+  EXPECT_EQ(session.NumKnownLabels(), known);
+  EXPECT_THROW(session.Step({2, 3}, {1, 7}), WireError);
+  EXPECT_EQ(session.NumKnownLabels(), known);
+}
+
 TEST(SessionTest, RejectsEmptyPointSetAndUnknownAlgorithm) {
   EXPECT_THROW(Session(PointSet(), MakeOptions(1)), WireError);
   SessionOptions bad = MakeOptions(1);

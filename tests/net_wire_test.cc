@@ -165,6 +165,20 @@ TEST(WireMessageTest, PassiveSolveRequestRejectsBadLabel) {
   EXPECT_THROW(PassiveSolveRequest::Unserialize(s), WireError);
 }
 
+TEST(WireMessageTest, PassiveSolveRequestRejectsNonPositiveWeight) {
+  // WeightedPointSet requires weight > 0, so a zero weight -- either
+  // sign -- must fail decoding rather than reach the solver.
+  for (const double zero : {0.0, -0.0}) {
+    PassiveSolveRequest request;
+    request.points = SmallPoints();
+    request.labels = {1, 0, 1};
+    request.weights = {1.0, zero, 0.5};
+    WireStream s;
+    request.Serialize(s);
+    EXPECT_THROW(PassiveSolveRequest::Unserialize(s), WireError) << zero;
+  }
+}
+
 TEST(WireMessageTest, SessionMessagesRoundTrip) {
   SessionOpenRequest open;
   open.points = SmallPoints();

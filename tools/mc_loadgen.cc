@@ -25,13 +25,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "monoclass.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -39,6 +39,7 @@ using monoclass::ActiveSolveOptions;
 using monoclass::ActiveSolveResult;
 using monoclass::GeneratePlanted;
 using monoclass::InMemoryOracle;
+using monoclass::tools::ParseFlagValue;
 
 struct LoadgenConfig {
   std::string host = "127.0.0.1";
@@ -227,33 +228,37 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Strict numeric values (tools/flag_parse.h); the lower bounds keep
+    // out port 0 and the zeros that would leave a run with no clients or
+    // no points.
+    auto number = [&]<typename T>(const char* flag, T lo) -> T {
+      return ParseFlagValue<T>("mc_loadgen", flag, next(flag), lo);
+    };
     if (arg == "--host") {
       config.host = next("--host");
     } else if (arg == "--port") {
-      config.port = static_cast<uint16_t>(std::atoi(next("--port")));
+      config.port = number("--port", uint16_t{1});
       have_port = true;
     } else if (arg == "--ci") {
       config.ci = true;
     } else if (arg == "--sessions") {
-      config.sessions = static_cast<size_t>(std::atol(next("--sessions")));
+      config.sessions = number("--sessions", size_t{0});
     } else if (arg == "--clients") {
-      config.clients = static_cast<size_t>(std::atol(next("--clients")));
+      config.clients = number("--clients", size_t{1});
     } else if (arg == "--seed") {
-      config.seed = static_cast<uint64_t>(std::atoll(next("--seed")));
+      config.seed = number("--seed", uint64_t{0});
     } else if (arg == "--think-ms") {
-      config.think_ms = std::atoi(next("--think-ms"));
+      config.think_ms = number("--think-ms", 0);
     } else if (arg == "--zipf-s") {
-      config.zipf_s = std::atof(next("--zipf-s"));
+      config.zipf_s = number("--zipf-s", 0.0);
     } else if (arg == "--zipf-ranks") {
-      config.zipf_ranks = static_cast<size_t>(std::atol(next("--zipf-ranks")));
+      config.zipf_ranks = number("--zipf-ranks", size_t{1});
     } else if (arg == "--size-step") {
-      config.size_step = static_cast<size_t>(std::atol(next("--size-step")));
+      config.size_step = number("--size-step", size_t{1});
     } else if (arg == "--verify-every") {
-      config.verify_every =
-          static_cast<size_t>(std::atol(next("--verify-every")));
+      config.verify_every = number("--verify-every", size_t{0});
     } else if (arg == "--passive-every") {
-      config.passive_every =
-          static_cast<size_t>(std::atol(next("--passive-every")));
+      config.passive_every = number("--passive-every", size_t{0});
     } else if (arg == "--shutdown") {
       config.shutdown_server = true;
     } else if (arg == "--experiment-id") {

@@ -14,17 +14,14 @@
 //   monoclassd --port 0 --port-file /tmp/mc.port --threads 4
 //   mc_top --once <dump>   # when started with --telemetry-dump <dump>
 
-#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <string>
-#include <system_error>
 
 #include "monoclass.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -44,28 +41,12 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-// Parses all of `text` as a T no smaller than `lo`; anything else
-// (trailing characters, a sign on an unsigned flag, a value outside T or
-// below `lo`) exits 2.
-template <typename T>
-T ParseNumber(const char* flag, const char* text,
-              T lo = std::numeric_limits<T>::min()) {
-  T value{};
-  const char* end = text + std::strlen(text);
-  const auto [ptr, ec] = std::from_chars(text, end, value);
-  if (ec != std::errc() || ptr != end || value < lo) {
-    std::fprintf(stderr, "monoclassd: invalid value '%s' for %s\n", text,
-                 flag);
-    std::exit(2);
-  }
-  return value;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   using monoclass::net::Server;
   using monoclass::net::ServerOptions;
+  using monoclass::tools::ParseFlagValue;
 
   ServerOptions options;
   options.sessions.ttl_ms = 300000;
@@ -85,25 +66,27 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       options.host = next("--host");
     } else if (arg == "--port") {
-      options.port = ParseNumber<uint16_t>("--port", next("--port"));
+      options.port =
+          ParseFlagValue<uint16_t>("monoclassd", "--port", next("--port"));
     } else if (arg == "--port-file") {
       port_file = next("--port-file");
     } else if (arg == "--threads") {
-      options.parallel.threads =
-          ParseNumber<size_t>("--threads", next("--threads"));
+      options.parallel.threads = ParseFlagValue<size_t>(
+          "monoclassd", "--threads", next("--threads"));
     } else if (arg == "--session-capacity") {
-      options.sessions.capacity = ParseNumber<size_t>(
-          "--session-capacity", next("--session-capacity"));
+      options.sessions.capacity = ParseFlagValue<size_t>(
+          "monoclassd", "--session-capacity", next("--session-capacity"));
     } else if (arg == "--session-ttl-ms") {
-      options.sessions.ttl_ms =
-          ParseNumber<int64_t>("--session-ttl-ms", next("--session-ttl-ms"));
+      options.sessions.ttl_ms = ParseFlagValue<int64_t>(
+          "monoclassd", "--session-ttl-ms", next("--session-ttl-ms"));
     } else if (arg == "--no-remote-shutdown") {
       options.allow_remote_shutdown = false;
     } else if (arg == "--telemetry-dump") {
       telemetry_path = next("--telemetry-dump");
     } else if (arg == "--telemetry-interval-ms") {
-      telemetry_interval_ms = ParseNumber<int>(
-          "--telemetry-interval-ms", next("--telemetry-interval-ms"), 1);
+      telemetry_interval_ms =
+          ParseFlagValue<int>("monoclassd", "--telemetry-interval-ms",
+                              next("--telemetry-interval-ms"), 1);
     } else if (arg == "--help" || arg == "-h") {
       Usage(argv[0]);
       return 0;
