@@ -20,6 +20,9 @@
 //     == parse(x), byte-for-byte on the serialized form.
 //   * Every passive-solve request that parses converts to the solver's
 //     input (ToWeightedPointSet) without tripping a precondition.
+//   * Every session-open request that parses opens a Session that runs
+//     to completion on answers drawn from the payload's bytes, and
+//     completes as the uninterrupted SolveActiveMultiD on those labels.
 
 #include <algorithm>
 #include <cstddef>
@@ -40,6 +43,50 @@ using net::MessageType;
 using net::TryDecodeFrame;
 using net::WireError;
 using net::WireStream;
+
+// Opens a Session as the server would on `request` and answers every
+// probe batch until it completes, labelling point i with bit i of
+// `answers` (cyclically). The result must be the uninterrupted solve.
+void DriveSession(const net::SessionOpenRequest& request,
+                  const std::vector<uint8_t>& answers) {
+  if (request.algorithm != 0) return;  // refused by the Session
+  const size_t n = request.points.size();
+  std::vector<Label> labels(n);
+  for (size_t i = 0; i < n; ++i) {
+    labels[i] = (answers[(i / 8) % answers.size()] >> (i % 8)) & 1;
+  }
+  net::SessionOptions options;
+  options.seed = request.seed;
+  options.epsilon = request.epsilon;
+  options.delta = request.delta;
+  net::Session session(request.points, options);
+  net::Session::StepOutcome outcome = session.Step({}, {});
+  // Each step answers a non-empty batch of unanswered points.
+  for (size_t steps = 0; !outcome.done; ++steps) {
+    FuzzExpect(steps < n && !outcome.probe_indices.empty(), "session",
+               "a fully answered session did not complete");
+    std::vector<uint8_t> batch(outcome.probe_indices.size());
+    for (size_t k = 0; k < batch.size(); ++k) {
+      batch[k] = labels[static_cast<size_t>(outcome.probe_indices[k])];
+    }
+    outcome = session.Step(outcome.probe_indices, batch);
+  }
+
+  const LabeledPointSet truth(request.points, labels);
+  InMemoryOracle oracle(truth);
+  ActiveSolveOptions solve_options;
+  solve_options.sampling =
+      ActiveSamplingParams::Practical(request.epsilon, request.delta);
+  solve_options.seed = request.seed;
+  solve_options.parallel.threads = 1;
+  const ActiveSolveResult reference =
+      SolveActiveMultiD(truth.points(), oracle, solve_options);
+  FuzzExpect(outcome.result.classifier.generators() ==
+                     reference.classifier.generators() &&
+                 outcome.result.probes == reference.probes &&
+                 outcome.result.sigma_error == reference.sigma_error,
+             "session", "stepped solve differs from the uninterrupted one");
+}
 
 // Parses `payload` as `type`; returns the canonical re-serialization,
 // or nullopt when the payload is malformed for that type. Must never
@@ -70,9 +117,16 @@ std::optional<std::vector<uint8_t>> Reserialize(uint16_t type,
       case MessageType::kPassiveSolveResult:
         net::PassiveSolveResult::Unserialize(in).Serialize(out);
         break;
-      case MessageType::kSessionOpen:
-        net::SessionOpenRequest::Unserialize(in).Serialize(out);
+      case MessageType::kSessionOpen: {
+        const net::SessionOpenRequest request =
+            net::SessionOpenRequest::Unserialize(in);
+        // The server opens a session on every request that decodes in
+        // full, so it must run to completion.
+        in.ExpectEnd();
+        DriveSession(request, payload);
+        request.Serialize(out);
         break;
+      }
       case MessageType::kSessionProbe:
         net::SessionProbeMessage::Unserialize(in).Serialize(out);
         break;

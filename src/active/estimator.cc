@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.h"
 
@@ -22,6 +23,10 @@ size_t Lemma5SampleSize(double phi, double delta, double mu_upper_bound,
       std::max(mu_upper_bound / (phi * phi), 1.0 / phi);
   const double t = std::ceil(factor * chernoff_constant * std::log(2.0 / delta));
   MC_CHECK_GE(t, 0.0);
+  // A size that size_t cannot hold (+inf once phi^2 underflows) would be
+  // undefined to cast; it saturates, and callers probe the whole level.
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  if (t >= static_cast<double>(kMax)) return kMax;
   return static_cast<size_t>(std::max(t, 1.0));
 }
 

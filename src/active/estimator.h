@@ -19,6 +19,7 @@ namespace monoclass {
 // delta. `mu_upper_bound` is any known upper bound on mu (1 when unknown);
 // `chernoff_constant` is the paper's 3 (exposed so experiment presets can
 // trade proof constants for sample size; see ActiveSamplingParams).
+// Saturates at SIZE_MAX when t does not fit in a size_t.
 size_t Lemma5SampleSize(double phi, double delta, double mu_upper_bound = 1.0,
                         double chernoff_constant = 3.0);
 

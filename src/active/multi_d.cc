@@ -4,7 +4,6 @@
 #include "active/multi_d.h"
 
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "active/one_d.h"
@@ -62,53 +61,18 @@ ActiveSolveResult SolveActiveMultiD(const PointSet& points,
   options.sampling.Validate();
   MC_SPAN("active/solve");
   const size_t probes_before = oracle.NumProbes();
-
-  // Step 1: chain decomposition.
-  ChainDecomposition decomposition;
-  {
-    MC_SPAN("active/chain_decomposition");
-    if (options.precomputed_chains.has_value()) {
-      decomposition = *options.precomputed_chains;
-      MC_CHECK(ValidateChainDecomposition(points, decomposition))
-          << "precomputed_chains is not a valid decomposition of the input";
-    } else if (options.use_fast_2d_chains && points.dimension() == 2) {
-      decomposition = MinimumChainDecomposition2D(points);
-    } else {
-      decomposition = MinimumChainDecomposition(points);
-    }
-  }
-  // Minimality is audited where each decomposition is produced; here only
-  // the partition/ordering invariants matter (they make step 2 sound).
-  MC_AUDIT(AuditChainDecomposition(points, decomposition,
-                                   /*expect_minimum=*/false));
-
-  ActiveSolveResult result{
-      .classifier = MonotoneClassifier::AlwaysZero(points.dimension())};
-  result.num_chains = decomposition.NumChains();
-  MC_GAUGE("active.chains", decomposition.NumChains());
-
-  // Step 2: the 1D algorithm per chain. Each chain gets an independent RNG
-  // stream and an equal share delta/w of the failure budget.
-  obs::ProbeBudget budget(points.size(), decomposition.NumChains(),
-                          options.sampling.epsilon, options.sampling.delta);
-  ActiveSamplingParams chain_params = options.sampling;
-  chain_params.delta =
-      options.sampling.delta / static_cast<double>(decomposition.NumChains());
+  const ChainDecomposition decomposition =
+      DecomposeForActiveSolve(points, options);
 
   // Chains are independent: disjoint point sets, independent RNG streams
   // (chain c always draws from Rng(seed, c), regardless of thread
-  // count), and per-chain results are merged in chain order below. Only
-  // the shared oracle couples the tasks, so it gets a synchronized
-  // wrapper when more than one worker may probe it; with threads == 1
+  // count), and Sigma merges the outcomes in chain order. Only the
+  // shared oracle couples the tasks, so it gets a synchronized wrapper
+  // when more than one worker may probe it; with threads == 1
   // ParallelForEach runs the body inline on this thread and the raw
   // oracle is used directly -- the exact serial path.
-  const size_t num_chains = decomposition.chains.size();
-  struct ChainOutcome {
-    OneDSolveResult result;
-    size_t distinct_probes = 0;
-  };
-  std::vector<ChainOutcome> outcomes(num_chains);
-
+  const size_t num_chains = decomposition.NumChains();
+  std::vector<ActiveChainOutcome> chains(num_chains);
   std::optional<SynchronizedOracle> synchronized;
   LabelOracle* shared_oracle = &oracle;
   if (options.parallel.Resolve() > 1 && num_chains > 1) {
@@ -116,38 +80,85 @@ ActiveSolveResult SolveActiveMultiD(const PointSet& points,
     shared_oracle = &*synchronized;
   }
   ParallelForEach(num_chains, options.parallel, [&](size_t c) {
-    MC_SPAN("par.chain");
-    MC_LATENCY("mc.lat.active_chain");
-    const auto& chain = decomposition.chains[c];
-    std::vector<double> coordinates(chain.size());
-    for (size_t r = 0; r < chain.size(); ++r) {
-      coordinates[r] = static_cast<double>(r);  // rank along the chain
-    }
-    ChainOracleView view(*shared_oracle, points.size());
-    Rng chain_rng(options.seed, static_cast<uint64_t>(c));
-    outcomes[c].result =
-        SolveActive1D(chain, coordinates, view, chain_params, chain_rng);
-    outcomes[c].distinct_probes = view.NumProbes();
+    chains[c] = SolveActiveChain(decomposition, c, *shared_oracle, options);
   });
+  return SolveActiveSigma(points, chains, oracle.NumProbes() - probes_before,
+                          options);
+}
 
-  for (size_t c = 0; c < num_chains; ++c) {
-    const OneDSolveResult& chain_result = outcomes[c].result;
+ChainDecomposition DecomposeForActiveSolve(const PointSet& points,
+                                           const ActiveSolveOptions& options) {
+  MC_CHECK(!points.empty());
+  MC_SPAN("active/chain_decomposition");
+  ChainDecomposition decomposition;
+  if (options.precomputed_chains.has_value()) {
+    decomposition = *options.precomputed_chains;
+    MC_CHECK(ValidateChainDecomposition(points, decomposition))
+        << "precomputed_chains is not a valid decomposition of the input";
+  } else if (options.use_fast_2d_chains && points.dimension() == 2) {
+    decomposition = MinimumChainDecomposition2D(points);
+  } else {
+    decomposition = MinimumChainDecomposition(points);
+  }
+  // Minimality is audited where each decomposition is produced; here only
+  // the partition/ordering invariants matter (they make stage 2 sound).
+  MC_AUDIT(AuditChainDecomposition(points, decomposition,
+                                   /*expect_minimum=*/false));
+  MC_GAUGE("active.chains", decomposition.NumChains());
+  return decomposition;
+}
+
+ActiveChainOutcome SolveActiveChain(const ChainDecomposition& decomposition,
+                                    size_t chain_index, LabelOracle& oracle,
+                                    const ActiveSolveOptions& options) {
+  MC_CHECK_LT(chain_index, decomposition.NumChains());
+  MC_SPAN("par.chain");
+  MC_LATENCY("mc.lat.active_chain");
+  const std::vector<size_t>& chain = decomposition.chains[chain_index];
+  std::vector<double> coordinates(chain.size());
+  for (size_t r = 0; r < chain.size(); ++r) {
+    coordinates[r] = static_cast<double>(r);  // rank along the chain
+  }
+  ActiveSamplingParams chain_params = options.sampling;
+  chain_params.delta = options.sampling.delta /
+                       static_cast<double>(decomposition.NumChains());
+  ChainOracleView view(oracle, oracle.NumPoints());
+  Rng chain_rng(options.seed, static_cast<uint64_t>(chain_index));
+  ActiveChainOutcome outcome;
+  outcome.result =
+      SolveActive1D(chain, coordinates, view, chain_params, chain_rng);
+  outcome.distinct_probes = view.NumProbes();
+  return outcome;
+}
+
+ActiveSolveResult SolveActiveSigma(const PointSet& points,
+                                   const std::vector<ActiveChainOutcome>& chains,
+                                   size_t probes,
+                                   const ActiveSolveOptions& options) {
+  MC_CHECK(!points.empty());
+  MC_CHECK(!chains.empty());
+  ActiveSolveResult result{
+      .classifier = MonotoneClassifier::AlwaysZero(points.dimension())};
+  result.num_chains = chains.size();
+  obs::ProbeBudget budget(points.size(), chains.size(),
+                          options.sampling.epsilon, options.sampling.delta);
+  for (size_t c = 0; c < chains.size(); ++c) {
+    const OneDSolveResult& chain_result = chains[c].result;
     result.total_levels += chain_result.levels;
     result.full_probe_levels += chain_result.full_probe_levels;
     for (const WeightedSampleEntry& entry : chain_result.sigma) {
       result.sigma.Add(points[entry.point_index], entry.label, entry.weight);
     }
-    budget.RecordChain(c, outcomes[c].distinct_probes);
+    budget.RecordChain(c, chains[c].distinct_probes);
   }
 
-  // Step 3: passive weighted solve on Sigma (Theorem 3 reduction). The
-  // flow solver returns the classifier minimizing w-err_Sigma, which by
-  // Lemma 14 is (1+eps)-approximate on P with high probability.
+  // The flow solver returns the classifier minimizing w-err_Sigma, which
+  // by Lemma 14 is (1+eps)-approximate on P with high probability.
   const PassiveSolveResult passive =
       SolvePassiveWeighted(result.sigma, options.passive);
   result.classifier = passive.classifier;
   result.sigma_error = passive.optimal_weighted_error;
-  result.probes = oracle.NumProbes() - probes_before;
+  result.probes = probes;
   budget.RecordTotal(result.probes);
   result.probe_budget = budget.Report();
   // Union of per-chain samples covers every point exactly once (eq. (30)).

@@ -15,12 +15,19 @@
 //
 // With probability >= 1 - delta the result's error on P is at most
 // (1 + eps) k*. Probes: O((w/eps^2) log n log(n/w)).
+//
+// SolveActiveMultiD is the composition of three public stages, one per
+// step above. A caller that owns the probing loop runs them itself:
+// net/session.h decomposes once, keeps each finished chain's outcome and
+// solves Sigma once, and gets the solve SolveActiveMultiD would return.
 
 #ifndef MONOCLASS_ACTIVE_MULTI_D_H_
 #define MONOCLASS_ACTIVE_MULTI_D_H_
 
 #include <optional>
+#include <vector>
 
+#include "active/one_d.h"
 #include "active/oracle.h"
 #include "active/params.h"
 #include "core/chain_decomposition.h"
@@ -81,6 +88,38 @@ struct ActiveSolveResult {
 ActiveSolveResult SolveActiveMultiD(const PointSet& points,
                                     LabelOracle& oracle,
                                     const ActiveSolveOptions& options = {});
+
+// Stage 1: the chain decomposition `options` selects (precomputed_chains,
+// the 2D patience decomposition, or Lemma 6). A pure function of the
+// points and options.
+ChainDecomposition DecomposeForActiveSolve(const PointSet& points,
+                                           const ActiveSolveOptions& options);
+
+// One chain's Section 3 run: its weighted sample Sigma_i and the distinct
+// points it revealed.
+struct ActiveChainOutcome {
+  OneDSolveResult result;
+  size_t distinct_probes = 0;
+};
+
+// Stage 2: the 1D algorithm on chain `chain_index` of `decomposition`,
+// with coordinate = rank along the chain, an equal share delta / w of
+// the failure budget and the RNG stream Rng(options.seed, chain_index).
+// The outcome depends only on the chain, the seed and the answers to its
+// own probes. `oracle` indexes the whole point set; concurrent calls on
+// distinct chains need a thread-safe oracle.
+ActiveChainOutcome SolveActiveChain(const ChainDecomposition& decomposition,
+                                    size_t chain_index, LabelOracle& oracle,
+                                    const ActiveSolveOptions& options);
+
+// Stage 3: Sigma = the union of every chain's sample (`chains`, in chain
+// order), solved as passive weighted classification (the Theorem 3
+// reduction). `probes` is the run's distinct probe count; chains
+// partition the points, so it is the sum of the chains' distinct_probes.
+ActiveSolveResult SolveActiveSigma(const PointSet& points,
+                                   const std::vector<ActiveChainOutcome>& chains,
+                                   size_t probes,
+                                   const ActiveSolveOptions& options);
 
 }  // namespace monoclass
 

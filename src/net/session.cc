@@ -13,68 +13,60 @@ namespace monoclass {
 namespace net {
 namespace {
 
-// Oracle that replays a partially-answered solve. Known answers are
-// served verbatim; the first Prefetch batch containing unknown points
-// flips the oracle into speculative mode and records those points (in
-// batch order, deduplicated) as the next round-trip. From then on every
-// unknown probe answers a dummy 0 -- the solver still terminates, the
-// run's outputs are discarded, and only `pending` survives. A direct
-// unknown Probe outside any announced batch (defensive: no current
-// solver path does this) captures a singleton batch the same way.
+// Session::answers_ entry of a point the client has not labelled.
+constexpr uint8_t kUnanswered = 2;
+
+// Ends a replay at its first probing round that needs an answer the
+// client has not given. Only ReplayOracle throws it, and Session::Step
+// catches it around each chain, so it never leaves Step.
+struct ReplayStop {
+  // The round's unanswered points, deduplicated, in batch order.
+  std::vector<uint64_t> pending;
+};
+
+// Oracle that replays a chain against the answers collected so far.
+// Known answers are served verbatim. The first Prefetch batch holding an
+// unanswered point throws ReplayStop with that batch's unanswered
+// points; a Probe of an unanswered point that no batch announced
+// (defensive: no solver path does this) throws it with that point alone.
 class ReplayOracle final : public LabelOracle {
  public:
-  ReplayOracle(const std::map<size_t, uint8_t>& known, size_t num_points)
-      : known_(known), revealed_(num_points, false) {}
+  explicit ReplayOracle(const std::vector<uint8_t>& answers)
+      : answers_(answers), revealed_(answers.size(), false) {}
 
   void Prefetch(const std::vector<size_t>& indices) override {
-    if (speculative_) return;
+    ReplayStop stop;
+    std::vector<bool> in_pending;
     for (const size_t index : indices) {
-      if (index < revealed_.size() && known_.count(index) == 0) {
-        if (!speculative_) {
-          speculative_ = true;
-          pending_.clear();
-          in_pending_.assign(revealed_.size(), false);
-        }
-        if (!in_pending_[index]) {
-          in_pending_[index] = true;
-          pending_.push_back(static_cast<uint64_t>(index));
-        }
+      if (answers_[index] != kUnanswered) continue;
+      if (in_pending.empty()) in_pending.assign(answers_.size(), false);
+      if (!in_pending[index]) {
+        in_pending[index] = true;
+        stop.pending.push_back(static_cast<uint64_t>(index));
       }
     }
+    if (!stop.pending.empty()) throw stop;
   }
 
   Label Probe(size_t index) override {
     ++probe_calls_;
-    const auto it = known_.find(index);
-    if (it != known_.end()) {
-      if (!revealed_[index]) {
-        revealed_[index] = true;
-        ++distinct_probes_;
-      }
-      return it->second;
+    if (answers_[index] == kUnanswered) {
+      throw ReplayStop{{static_cast<uint64_t>(index)}};
     }
-    if (!speculative_) {
-      speculative_ = true;
-      pending_.assign(1, static_cast<uint64_t>(index));
-      in_pending_.assign(revealed_.size(), false);
-      if (index < in_pending_.size()) in_pending_[index] = true;
+    if (!revealed_[index]) {
+      revealed_[index] = true;
+      ++distinct_probes_;
     }
-    return 0;  // speculative dummy; this replay's outputs are discarded
+    return answers_[index];
   }
 
-  size_t NumPoints() const override { return revealed_.size(); }
+  size_t NumPoints() const override { return answers_.size(); }
   size_t NumProbes() const override { return distinct_probes_; }
   size_t NumProbeCalls() const override { return probe_calls_; }
 
-  bool speculative() const { return speculative_; }
-  std::vector<uint64_t> TakePending() { return std::move(pending_); }
-
  private:
-  const std::map<size_t, uint8_t>& known_;
+  const std::vector<uint8_t>& answers_;
   std::vector<bool> revealed_;
-  std::vector<bool> in_pending_;
-  std::vector<uint64_t> pending_;
-  bool speculative_ = false;
   size_t distinct_probes_ = 0;
   size_t probe_calls_ = 0;
 };
@@ -82,14 +74,29 @@ class ReplayOracle final : public LabelOracle {
 }  // namespace
 
 Session::Session(PointSet points, SessionOptions options)
-    : points_(std::move(points)), options_(options) {
+    : points_(std::move(points)) {
   if (points_.empty() || points_.dimension() == 0) {
     throw WireError("session requires a non-empty point set");
   }
-  if (options_.algorithm != 0) {
+  if (options.algorithm != 0) {
     throw WireError("unknown session algorithm " +
-                    std::to_string(options_.algorithm));
+                    std::to_string(options.algorithm));
   }
+  solve_options_.sampling =
+      ActiveSamplingParams::Practical(options.epsilon, options.delta);
+  solve_options_.seed = options.seed;
+  // Every stage runs serially on the calling thread, the per-chain
+  // solves and the Sigma solve alike: a server handles each frame on its
+  // reader thread, and concurrency comes from many sessions in flight,
+  // never from a fan-out to the shared pool within one session.
+  solve_options_.parallel.threads = 1;
+  solve_options_.passive.parallel.threads = 1;
+  // Hopcroft-Karp (Lemma 6), as SolveActiveMultiD picks by default: the
+  // 2D patience decomposition is also minimum but returns other chains,
+  // hence other probe sequences.
+  decomposition_ = DecomposeForActiveSolve(points_, solve_options_);
+  MC_COUNTER("mc.srv.session_decompositions", 1);
+  answers_.assign(points_.size(), kUnanswered);
 }
 
 Session::StepOutcome Session::Step(const std::vector<uint64_t>& indices,
@@ -106,32 +113,39 @@ Session::StepOutcome Session::Step(const std::vector<uint64_t>& indices,
     if (labels[i] > 1) throw WireError("label outside {0,1}");
   }
   for (size_t i = 0; i < indices.size(); ++i) {
-    known_.emplace(static_cast<size_t>(indices[i]), labels[i]);
+    uint8_t& answer = answers_[static_cast<size_t>(indices[i])];
+    if (answer == kUnanswered) {
+      answer = labels[i];
+      ++num_known_;
+    }
   }
-
-  ReplayOracle oracle(known_, points_.size());
-  ActiveSolveOptions solve_options;
-  solve_options.sampling =
-      ActiveSamplingParams::Practical(options_.epsilon, options_.delta);
-  solve_options.seed = options_.seed;
-  // The replay runs serially on the calling thread, the per-chain solves
-  // and the Sigma solve alike: a server handles each frame on its reader
-  // thread, and concurrency comes from many sessions in flight, never
-  // from a fan-out to the shared pool within one session.
-  solve_options.parallel.threads = 1;
-  solve_options.passive.parallel.threads = 1;
   ++replays_;
   MC_COUNTER("mc.srv.session_replays", 1);
 
+  // Replay the unfinished chains in chain order, each from its start,
+  // until one reaches a round it has no answers for.
+  ReplayOracle oracle(answers_);
   StepOutcome outcome;
-  ActiveSolveResult result = SolveActiveMultiD(points_, oracle, solve_options);
-  if (oracle.speculative()) {
-    outcome.done = false;
-    outcome.probe_indices = oracle.TakePending();
-  } else {
-    outcome.done = true;
-    outcome.result = std::move(result);
+  while (finished_.size() < decomposition_.NumChains()) {
+    const size_t chain = finished_.size();
+    MC_COUNTER("mc.srv.session_chain_solves", 1);
+    try {
+      finished_.push_back(
+          SolveActiveChain(decomposition_, chain, oracle, solve_options_));
+    } catch (ReplayStop& stop) {
+      outcome.probe_indices = std::move(stop.pending);
+      return outcome;
+    }
   }
+  // Chains partition the points, so their distinct probes add up to the
+  // run's, as SolveActiveMultiD counts them on its one oracle.
+  size_t probes = 0;
+  for (const ActiveChainOutcome& chain : finished_) {
+    probes += chain.distinct_probes;
+  }
+  outcome.done = true;
+  outcome.result =
+      SolveActiveSigma(points_, finished_, probes, solve_options_);
   return outcome;
 }
 

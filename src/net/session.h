@@ -6,24 +6,34 @@
 // The paper's active algorithm is interactive by construction: it draws
 // sample positions, probes the oracle, and recurses on what the labels
 // reveal. A serving system cannot block a solver thread on a human
-// labeler, so Session turns the solver inside out WITHOUT rewriting it
-// as a coroutine: every Step() re-runs the deterministic solver from
-// scratch against the set of answers collected so far. A replaying
-// oracle feeds known answers back; the first probing round that touches
-// an unknown point is captured (through the LabelOracle::Prefetch batch
-// seam) as the next round-trip's probe batch, and the remainder of that
-// replay runs speculatively on dummy labels and is discarded.
+// labeler, so a Session runs the stages of the active solver
+// (active/multi_d.h) itself, WITHOUT rewriting them as coroutines:
 //
-// Because the solver is bit-deterministic in (points, seed) -- each
-// chain draws from its own Rng(seed, chain) stream and positions never
-// depend on labels within a round -- every replay re-issues exactly the
-// same probe sequence, so the final replay (all answers known) is
-// bit-for-bit the solve an uninterrupted run would have produced. That
-// equivalence is what tests/net_session_test.cc pins down.
+//   * Open (the constructor) computes the chain decomposition, a pure
+//     function of the points, once.
+//   * Every Step() records the client's answers and replays the chain in
+//     progress from its start against every answer known so far. A
+//     replaying oracle serves the known answers; the first probing round
+//     (a LabelOracle::Prefetch batch) that holds an unknown point ends
+//     the replay, and that round's unknown points are the next
+//     round-trip's probe batch.
+//   * A chain whose replay runs to its end keeps its outcome, so no later
+//     step re-runs it. The step that finishes the last chain solves
+//     Sigma, once per session.
 //
-// Replay cost is rounds * solve-time over milliseconds-scale instances;
-// the win is zero solver state between round-trips beyond the answer
-// map, which is also what makes sessions evictable and resumable.
+// This is sound because a chain's outcome depends only on its points,
+// its Rng(seed, chain) stream and the answers to its own probes, and
+// answers never change once given. Each chain is bit-deterministic in
+// (points, seed) -- positions never depend on labels within a round --
+// so a replay re-issues exactly the probes of the runs before it, and
+// the completed session is bit-for-bit the solve an uninterrupted
+// SolveActiveMultiD over the same (points, seed) would have produced.
+// That equivalence is what tests/net_session_test.cc pins down.
+//
+// A step thus costs one chain's replay up to its first unknown round,
+// plus the chains it completes; between round-trips a session holds its
+// points, the decomposition, the finished chains' outcomes and the
+// answers, and no solver stack, which keeps it evictable and resumable.
 
 #ifndef MONOCLASS_NET_SESSION_H_
 #define MONOCLASS_NET_SESSION_H_
@@ -35,6 +45,7 @@
 #include <vector>
 
 #include "active/multi_d.h"
+#include "core/chain_decomposition.h"
 #include "core/dataset.h"
 #include "util/concurrency.h"
 #include "util/timer.h"
@@ -56,6 +67,7 @@ struct SessionOptions {
 // serializes access per session.
 class Session {
  public:
+  // Computes the chain decomposition (one mc.srv.session_decompositions).
   Session(PointSet points, SessionOptions options);
 
   struct StepOutcome {
@@ -69,20 +81,27 @@ class Session {
   };
 
   // Records answers (parallel arrays; a partial or empty answer set is
-  // legal) and replays the solver. Answers for out-of-range indices are
-  // rejected; answering the same index twice keeps the first answer
-  // (probes are immutable once revealed).
+  // legal) and replays the unfinished chains in chain order (one
+  // mc.srv.session_chain_solves each) until one stops at a round it has
+  // no answers for; once all have finished, solves Sigma. Answers for
+  // out-of-range indices are rejected; answering the same index twice
+  // keeps the first answer (probes are immutable once revealed).
   StepOutcome Step(const std::vector<uint64_t>& indices,
                    const std::vector<uint8_t>& labels);
 
   const PointSet& points() const { return points_; }
-  size_t NumKnownLabels() const { return known_.size(); }
+  size_t NumKnownLabels() const { return num_known_; }
   size_t NumReplays() const { return replays_; }
 
  private:
   PointSet points_;
-  SessionOptions options_;
-  std::map<size_t, uint8_t> known_;  // revealed point index -> label
+  ActiveSolveOptions solve_options_;
+  ChainDecomposition decomposition_;
+  // Outcomes of chains 0 .. finished_.size() - 1.
+  std::vector<ActiveChainOutcome> finished_;
+  // Per point: the client's label, or 2 while it is unanswered.
+  std::vector<uint8_t> answers_;
+  size_t num_known_ = 0;
   size_t replays_ = 0;
 };
 

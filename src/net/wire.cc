@@ -356,8 +356,12 @@ SessionOpenRequest SessionOpenRequest::Unserialize(WireStream& s) {
   m.delta = ReadFiniteF64(s, "delta");
   m.algorithm = s.ReadU8();
   if (m.points.size() == 0) throw WireError("empty session point set");
-  if (!(m.epsilon > 0.0) || m.epsilon > 1.0) throw WireError("bad epsilon");
-  if (!(m.delta > 0.0) || m.delta >= 1.0) throw WireError("bad delta");
+  if (!(m.epsilon >= kMinWireSessionParameter) || m.epsilon > 1.0) {
+    throw WireError("bad epsilon");
+  }
+  if (!(m.delta >= kMinWireSessionParameter) || m.delta >= 1.0) {
+    throw WireError("bad delta");
+  }
   return m;
 }
 

@@ -44,6 +44,11 @@ class WireError : public std::runtime_error {
 inline constexpr uint32_t kMaxWireElements = 1u << 24;  // per vector
 inline constexpr uint32_t kMaxWireDimension = 64;
 inline constexpr uint32_t kMaxWireStringBytes = 1u << 20;
+// Smallest session epsilon and delta the decoder accepts. The solver
+// splits delta over chains, levels and level sizes (fewer than 2^60
+// shares at the caps above) and squares a fraction of epsilon; from this
+// floor up neither result underflows.
+inline constexpr double kMinWireSessionParameter = 1e-100;
 
 // Little-endian byte buffer with a read cursor.
 class WireStream {

@@ -9,6 +9,7 @@
 #include "active/estimator.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -49,6 +50,17 @@ TEST(Lemma5SampleSizeTest, ChernoffConstantScalesLinearly) {
 
 TEST(Lemma5SampleSizeTest, AtLeastOne) {
   EXPECT_GE(Lemma5SampleSize(1.0, 0.999), 1u);
+}
+
+TEST(Lemma5SampleSizeTest, SaturatesWhenTheSizeOverflows) {
+  constexpr size_t kMax = std::numeric_limits<size_t>::max();
+  // eps = 1e-9 under the Practical preset (phi = eps / 8, C = 0.25):
+  // t is about 2.3e20, past 2^64.
+  EXPECT_EQ(Lemma5SampleSize(1e-9 / 8.0, 1e-6, 1.0, 0.25), kMax);
+  // phi^2 underflows to 0, so t is +inf.
+  EXPECT_EQ(Lemma5SampleSize(1e-170, 0.1), kMax);
+  // eps = 1e-6 still fits: about 1.95e14 (one chain, delta = 0.01).
+  EXPECT_LT(Lemma5SampleSize(1e-6 / 8.0, 0.01, 1.0, 0.25), kMax);
 }
 
 TEST(Lemma5SampleSizeTest, RejectsBadArguments) {

@@ -4,11 +4,14 @@
 // Tests for the Theorem 2/3 multi-dimensional active algorithm:
 // correctness on the paper's worked example, the (1+eps) guarantee across
 // randomized trials on width-controlled instances, probe accounting, the
-// precomputed-chain and greedy-chain paths, and determinism.
+// precomputed-chain and greedy-chain paths, determinism, and the three
+// public stages composing to the whole solve.
 
 #include "active/multi_d.h"
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "active/oracle.h"
 #include "core/paper_example.h"
@@ -189,6 +192,58 @@ TEST(MultiDActiveTest, DeterministicUnderSeed) {
   EXPECT_EQ(a.sigma.size(), b.sigma.size());
   EXPECT_EQ(a.classifier.ClassifySet(instance.data.points()),
             b.classifier.ClassifySet(instance.data.points()));
+}
+
+TEST(MultiDActiveTest, StagesComposeToTheWholeSolve) {
+  // Decompose, one chain at a time on a fresh oracle per chain, then
+  // Sigma with the summed distinct probes: the solve SolveActiveMultiD
+  // returns, field for field.
+  ChainInstanceOptions data_options;
+  data_options.num_chains = 4;
+  data_options.chain_length = 1500;  // long enough to sample, not probe all
+  data_options.noise_per_chain = 40;
+  data_options.seed = 23;
+  const LabeledPointSet data = GenerateChainInstance(data_options).data;
+  ActiveSolveOptions options;
+  options.sampling = ActiveSamplingParams::Practical(0.5, 0.05);
+  options.seed = 41;
+  options.use_fast_2d_chains = true;
+
+  InMemoryOracle whole_oracle(data);
+  const ActiveSolveResult whole =
+      SolveActiveMultiD(data.points(), whole_oracle, options);
+
+  const ChainDecomposition decomposition =
+      DecomposeForActiveSolve(data.points(), options);
+  std::vector<ActiveChainOutcome> chains;
+  size_t probes = 0;
+  for (size_t c = 0; c < decomposition.NumChains(); ++c) {
+    InMemoryOracle chain_oracle(data);
+    chains.push_back(SolveActiveChain(decomposition, c, chain_oracle, options));
+    EXPECT_EQ(chains.back().distinct_probes, chain_oracle.NumProbes());
+    probes += chains.back().distinct_probes;
+  }
+  const ActiveSolveResult staged =
+      SolveActiveSigma(data.points(), chains, probes, options);
+
+  EXPECT_GT(whole.num_chains, 1u);
+  EXPECT_LT(whole.probes, data.size());
+  EXPECT_EQ(staged.classifier.generators(), whole.classifier.generators());
+  EXPECT_EQ(staged.probes, whole.probes);
+  EXPECT_EQ(staged.num_chains, whole.num_chains);
+  EXPECT_EQ(staged.sigma_error, whole.sigma_error);
+  EXPECT_EQ(staged.total_levels, whole.total_levels);
+  EXPECT_EQ(staged.full_probe_levels, whole.full_probe_levels);
+  ASSERT_EQ(staged.sigma.size(), whole.sigma.size());
+  for (size_t i = 0; i < staged.sigma.size(); ++i) {
+    EXPECT_EQ(staged.sigma.point(i), whole.sigma.point(i)) << i;
+  }
+  EXPECT_EQ(staged.sigma.labels(), whole.sigma.labels());
+  EXPECT_EQ(staged.sigma.weights(), whole.sigma.weights());
+  EXPECT_EQ(staged.probe_budget.per_chain_probes,
+            whole.probe_budget.per_chain_probes);
+  EXPECT_EQ(staged.probe_budget.measured_probes,
+            whole.probe_budget.measured_probes);
 }
 
 TEST(MultiDActiveTest, SigmaLabelsMatchGroundTruth) {

@@ -42,11 +42,11 @@ LabeledPointSet MakeInstance(size_t n, uint64_t seed) {
 // until the server returns the result.
 Client::SessionState DriveSession(Client& client,
                                   const LabeledPointSet& instance,
-                                  uint64_t seed) {
+                                  uint64_t seed, double epsilon = 0.5) {
   SessionOpenRequest open;
   open.points = instance.points();
   open.seed = seed;
-  open.epsilon = 0.5;
+  open.epsilon = epsilon;
   open.delta = 0.01;
   Client::SessionState state = client.OpenSession(open);
   while (!state.done) {
@@ -156,6 +156,22 @@ TEST_F(ServerTest, SessionResumesAcrossConnections) {
   }
   EXPECT_GT(state.result.probes, 0u);
   second.Disconnect();
+}
+
+TEST_F(ServerTest, TinyEpsilonSessionCompletesAndServerStaysUp) {
+  // eps = 1e-9 once aborted the daemon: the Lemma 5 sample size
+  // overflowed size_t and came out 0, so a level drew no sample and its
+  // chain's Sigma was empty. The size now saturates, every level is
+  // probed in full, and Sigma's optimum is the instance's.
+  const LabeledPointSet instance = MakeInstance(320, 5);
+  const Client::SessionState state =
+      DriveSession(client_, instance, 3, /*epsilon=*/1e-9);
+  ASSERT_TRUE(state.done);
+  EXPECT_EQ(state.result.probes, instance.size());
+  EXPECT_EQ(state.result.sigma_error,
+            SolvePassiveUnweighted(instance, PassiveSolveOptions{})
+                .optimal_weighted_error);
+  EXPECT_EQ(client_.Ping(11), 11u);
 }
 
 TEST_F(ServerTest, UnknownSessionIsAnError) {

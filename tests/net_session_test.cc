@@ -5,14 +5,17 @@
 // is that a solve driven through Step() round-trips -- including
 // interrupted, partially-answered round-trips -- is bit-for-bit the
 // solve an uninterrupted SolveActiveMultiD would produce over the same
-// (points, seed). The eviction tests use an injected fake clock so TTL
-// expiry needs no sleeping.
+// (points, seed), while a session decomposes once and replays only the
+// chain in progress. The eviction tests use an injected fake clock so
+// TTL expiry needs no sleeping.
 
 #include "net/session.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "active/multi_d.h"
@@ -20,9 +23,11 @@
 #include "active/params.h"
 #include "data/synthetic.h"
 #include "net/wire.h"
+#include "obs/flight.h"
 #include "obs/obs.h"
 #include "test_util.h"
 #include "util/concurrency.h"
+#include "util/random.h"
 
 namespace monoclass {
 namespace net {
@@ -45,15 +50,47 @@ SessionOptions MakeOptions(uint64_t seed) {
   return options;
 }
 
-// The uninterrupted reference: same params Session::Step uses.
+// The uninterrupted reference: same params a Session uses, solved on
+// `threads` threads (the result is the same on any count).
 ActiveSolveResult ReferenceSolve(const LabeledPointSet& instance,
-                                 uint64_t seed) {
+                                 uint64_t seed, size_t threads = 1) {
   InMemoryOracle oracle(instance);
   ActiveSolveOptions options;
   options.sampling = ActiveSamplingParams::Practical(0.5, 0.01);
   options.seed = seed;
-  options.parallel.threads = 1;
+  options.parallel.threads = threads;
+  options.passive.parallel.threads = threads;
   return SolveActiveMultiD(instance.points(), oracle, options);
+}
+
+// Every field of two solves, Sigma and the probe account included.
+void ExpectSameSolve(const ActiveSolveResult& served,
+                     const ActiveSolveResult& reference,
+                     const std::string& context) {
+  SCOPED_TRACE(context);
+  EXPECT_EQ(served.classifier.generators(),
+            reference.classifier.generators());
+  EXPECT_EQ(served.probes, reference.probes);
+  EXPECT_EQ(served.num_chains, reference.num_chains);
+  EXPECT_EQ(served.sigma_error, reference.sigma_error);
+  EXPECT_EQ(served.total_levels, reference.total_levels);
+  EXPECT_EQ(served.full_probe_levels, reference.full_probe_levels);
+  ASSERT_EQ(served.sigma.size(), reference.sigma.size());
+  for (size_t i = 0; i < served.sigma.size(); ++i) {
+    EXPECT_EQ(served.sigma.point(i), reference.sigma.point(i)) << i;
+    EXPECT_EQ(served.sigma.label(i), reference.sigma.label(i)) << i;
+    EXPECT_EQ(served.sigma.weight(i), reference.sigma.weight(i)) << i;
+  }
+  const obs::ProbeBudgetReport& a = served.probe_budget;
+  const obs::ProbeBudgetReport& b = reference.probe_budget;
+  EXPECT_EQ(a.n, b.n);
+  EXPECT_EQ(a.w, b.w);
+  EXPECT_EQ(a.epsilon, b.epsilon);
+  EXPECT_EQ(a.delta, b.delta);
+  EXPECT_EQ(a.theorem2_bound, b.theorem2_bound);
+  EXPECT_EQ(a.measured_probes, b.measured_probes);
+  EXPECT_EQ(a.per_chain_probes, b.per_chain_probes);
+  EXPECT_EQ(a.utilization, b.utilization);
 }
 
 // Drives `session` to completion, answering every probe fully.
@@ -74,17 +111,93 @@ ActiveSolveResult DriveToCompletion(Session& session,
 TEST(SessionTest, SteppedSolveIsBitForBitTheUninterruptedSolve) {
   for (const uint64_t seed : {1u, 7u, 1234u}) {
     const LabeledPointSet instance = MakeInstance(80, seed * 31);
-    const ActiveSolveResult reference = ReferenceSolve(instance, seed);
-
     Session session(instance.points(), MakeOptions(seed));
     const ActiveSolveResult served = DriveToCompletion(session, instance);
-
-    EXPECT_EQ(served.classifier.generators(),
-              reference.classifier.generators())
-        << "seed=" << seed;
-    EXPECT_EQ(served.probes, reference.probes) << "seed=" << seed;
-    EXPECT_EQ(served.num_chains, reference.num_chains) << "seed=" << seed;
+    ASSERT_GT(session.NumReplays(), 1u);
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+      ExpectSameSolve(served, ReferenceSolve(instance, seed, threads),
+                      "seed=" + std::to_string(seed) +
+                          " threads=" + std::to_string(threads));
+    }
   }
+}
+
+TEST(SessionTest, DecomposesOnceAndReplaysOnlyTheChainInProgress) {
+  // Open decomposes; each step re-runs the chain in progress and runs
+  // on through the chains it completes. Every replay but the last stops
+  // in exactly one chain, and every chain finishes exactly once.
+  obs::SetEnabled(true);
+  for (const uint64_t seed : {2u, 9u}) {
+    obs::MetricsRegistry::Global().ResetAll();
+    const LabeledPointSet instance = MakeInstance(120, seed * 13);
+    Session session(instance.points(), MakeOptions(seed));
+    const ActiveSolveResult served = DriveToCompletion(session, instance);
+    const obs::MetricsSnapshot snapshot =
+        obs::MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(snapshot.CounterValue("mc.srv.session_decompositions"), 1u);
+    EXPECT_EQ(snapshot.CounterValue("mc.srv.session_replays"),
+              session.NumReplays());
+    EXPECT_EQ(snapshot.CounterValue("mc.srv.session_chain_solves"),
+              served.num_chains + session.NumReplays() - 1);
+    EXPECT_GT(served.num_chains, 1u);
+  }
+  obs::SetEnabled(false);
+}
+
+TEST(SessionTest, StopMidChainLeavesNoSpanOpen) {
+  // A replay that stops unwinds through the chain's span and latency
+  // scope; the capture must still pair every begin with its end.
+  obs::SetEnabled(true);
+  obs::ResetFlightRecorder();
+  obs::StartFlightCapture();
+  size_t stopped_replays = 0;
+  for (const uint64_t seed : {4u, 5u, 6u}) {
+    const LabeledPointSet instance = MakeInstance(64, seed);
+    Session session(instance.points(), MakeOptions(seed));
+    DriveToCompletion(session, instance);
+    stopped_replays += session.NumReplays() - 1;
+  }
+  obs::StopFlightCapture();
+  const obs::FlightSnapshot capture = obs::SnapshotFlightCapture();
+  obs::StopFlightRecording();
+  obs::ResetFlightRecorder();
+  obs::SetEnabled(false);
+
+  size_t chain_spans = 0;
+  for (const obs::FlightEvent& event : capture.events) {
+    if (event.type == obs::FlightEventType::kSpanBegin &&
+        capture.names[event.name_id] == "par.chain") {
+      ++chain_spans;
+    }
+  }
+  EXPECT_GT(stopped_replays, 0u);
+  EXPECT_GE(chain_spans, stopped_replays);
+  std::ostringstream trace;
+  EXPECT_EQ(obs::WriteFlightChromeTrace(capture, trace), 0u);
+}
+
+TEST(SessionTest, OnlyRejectedAnswersLeaveStep) {
+  // The replay's stop is caught inside Step: answering any subset of a
+  // batch, or of points never asked for, returns a batch or the result
+  // and never throws.
+  const uint64_t seed = 21;
+  const LabeledPointSet instance = MakeInstance(72, 37);
+  Session session(instance.points(), MakeOptions(seed));
+  Rng rng(seed, 0);
+  Session::StepOutcome outcome = session.Step({}, {});
+  while (!outcome.done) {
+    std::vector<uint64_t> indices;
+    for (const uint64_t index : outcome.probe_indices) {
+      if (rng.UniformInt(3) != 0) indices.push_back(index);
+    }
+    indices.push_back(rng.UniformInt(instance.size()));
+    std::vector<uint8_t> labels(indices.size());
+    for (size_t i = 0; i < indices.size(); ++i) {
+      labels[i] = instance.label(static_cast<size_t>(indices[i]));
+    }
+    ASSERT_NO_THROW(outcome = session.Step(indices, labels));
+  }
+  ExpectSameSolve(outcome.result, ReferenceSolve(instance, seed), "");
 }
 
 TEST(SessionTest, ProbeBatchesNeverRepeatAnsweredIndices) {
@@ -134,9 +247,7 @@ TEST(SessionTest, PartialAnswersResumeToIdenticalResult) {
     outcome = session.Step(indices, labels);
     ++round;
   }
-  EXPECT_EQ(outcome.result.classifier.generators(),
-            reference.classifier.generators());
-  EXPECT_EQ(outcome.result.probes, reference.probes);
+  ExpectSameSolve(outcome.result, reference, "partial answers");
 }
 
 TEST(SessionTest, EmptyAnswerSetResendsThePendingBatch) {
@@ -242,11 +353,9 @@ TEST(SessionManagerTest, ConcurrentSessionsAreBitIdenticalPerSession) {
     for (mc::thread& worker : workers) worker.join();
 
     for (size_t i = 0; i < kSessions; ++i) {
-      EXPECT_EQ(outcomes[i].result.classifier.generators(),
-                references[i].classifier.generators())
-          << "threads=" << threads << " session=" << i;
-      EXPECT_EQ(outcomes[i].result.probes, references[i].probes)
-          << "threads=" << threads << " session=" << i;
+      ExpectSameSolve(outcomes[i].result, references[i],
+                      "threads=" + std::to_string(threads) +
+                          " session=" + std::to_string(i));
     }
     // Completion retires every session.
     EXPECT_EQ(manager.NumActive(), 0u);

@@ -215,6 +215,32 @@ TEST(WireMessageTest, SessionMessagesRoundTrip) {
   EXPECT_EQ(result2.classifier.generators(), result.classifier.generators());
 }
 
+TEST(WireMessageTest, SessionOpenRejectsUnderflowingParameters) {
+  // delta = 5e-324 once aborted the daemon: delta / w underflowed to 0.
+  // Below kMinWireSessionParameter the decoder refuses either parameter;
+  // eps = 1e-9 (whose sample sizes overflow size_t) decodes.
+  const auto decodes = [](double epsilon, double delta) {
+    SessionOpenRequest open;
+    open.points = SmallPoints();
+    open.epsilon = epsilon;
+    open.delta = delta;
+    WireStream s;
+    open.Serialize(s);
+    try {
+      SessionOpenRequest::Unserialize(s);
+      return true;
+    } catch (const WireError&) {
+      return false;
+    }
+  };
+  EXPECT_FALSE(decodes(0.5, 5e-324));
+  EXPECT_FALSE(decodes(0.5, 1e-101));
+  EXPECT_FALSE(decodes(5e-324, 0.01));
+  EXPECT_FALSE(decodes(1e-101, 0.01));
+  EXPECT_TRUE(decodes(kMinWireSessionParameter, kMinWireSessionParameter));
+  EXPECT_TRUE(decodes(1e-9, 0.01));
+}
+
 TEST(WireMessageTest, StepRequestRejectsMismatchedArrays) {
   // Serialize refuses to encode the mismatch...
   SessionStepRequest step;

@@ -829,6 +829,9 @@ const std::vector<std::string>& AuditedEntryPoints() {
       "SolvePassiveUnweighted",
       "OptimalError",
       "SolveActiveMultiD",
+      "DecomposeForActiveSolve",
+      "SolveActiveChain",
+      "SolveActiveSigma",
       "MinimumChainDecomposition",
       "GreedyChainDecomposition",
       "ScalableChainDecomposition",
