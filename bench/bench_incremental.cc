@@ -28,6 +28,7 @@
 #include "passive/flow_solver.h"
 #include "passive/incremental_solver.h"
 #include "util/random.h"
+#include "util/timer.h"
 
 namespace monoclass {
 namespace {
@@ -106,6 +107,10 @@ bool Run(bool ci) {
   for (size_t id_ = 0; id_ < n; ++id_) live.push_back(id_);
   const size_t extract_every = std::max<size_t>(1, num_deltas / 10);
   double stream_seconds = 0.0;
+  // The extractions (Solve(): the cut, the classifier and its checks) are
+  // timed apart from the delta repairs they interleave with.
+  double extract_seconds = 0.0;
+  size_t extractions = 0;
   {
     obs::SpanTimer stream_timer("bench/delta_stream");
     for (size_t i = 0; i < num_deltas; ++i) {
@@ -126,22 +131,40 @@ bool Run(bool ci) {
         const size_t slot = rng.UniformInt(live.size());
         solver.Relabel(live[slot], rng.Bernoulli(0.5) ? 1 : 0);
       }
-      if ((i + 1) % extract_every == 0) solver.Solve();
+      if ((i + 1) % extract_every == 0) {
+        const WallTimer extract_timer;
+        solver.Solve();
+        extract_seconds += extract_timer.ElapsedSeconds();
+        ++extractions;
+      }
     }
     stream_seconds = stream_timer.ElapsedMillis() * 1e-3;
   }
+  // Delta throughput without the extractions, and the sustained rate
+  // with them; the 10x bar applies to the sustained rate.
+  const double delta_seconds = stream_seconds - extract_seconds;
+  const double deltas_per_sec =
+      static_cast<double>(num_deltas) / delta_seconds;
   const double updates_per_sec =
       static_cast<double>(num_deltas) / stream_seconds;
   const double cold_per_sec = 1.0 / cold_seconds;
   const double speedup = updates_per_sec / cold_per_sec;
   {
-    TextTable table({"deltas", "stream-s", "updates/s", "cold-solves/s",
-                     "speedup", ">=10x"});
-    table.AddRowValues(num_deltas, FormatDouble(stream_seconds, 4),
-                       FormatDouble(updates_per_sec, 5),
-                       FormatDouble(cold_per_sec, 4),
-                       FormatDouble(speedup, 4),
-                       speedup >= 10.0 ? "yes" : "NO");
+    TextTable table({"deltas", "delta-s", "deltas/s", "extracts",
+                     "extract-ms", "stream-s", "updates/s", "cold-solves/s",
+                     "delta-speedup", "speedup", ">=10x"});
+    table.AddRowValues(
+        num_deltas, FormatDouble(delta_seconds, 4),
+        FormatDouble(deltas_per_sec, 5), extractions,
+        FormatDouble(extractions == 0
+                         ? 0.0
+                         : extract_seconds * 1e3 /
+                               static_cast<double>(extractions),
+                     4),
+        FormatDouble(stream_seconds, 4), FormatDouble(updates_per_sec, 5),
+        FormatDouble(cold_per_sec, 4),
+        FormatDouble(deltas_per_sec / cold_per_sec, 4),
+        FormatDouble(speedup, 4), speedup >= 10.0 ? "yes" : "NO");
     bench::PrintTable(table);
     if (speedup < 10.0) {
       std::cerr << "bench_incremental: sustained speedup " << speedup

@@ -3,7 +3,9 @@
 //
 // Experiment E2: Theorem 4 runtime scaling. The claim is
 // O(d n^2) + T_maxflow(n): the graph build dominates for small flows, and
-// the total stays polynomial. Also reports the contending-reduction
+// the total stays polynomial. At d = 2 the quadratic passes (contending,
+// the Lemma 16 check, generator pruning) are O(n log n) sweeps, so the
+// d = 2 rows grow well below n^2. Also reports the contending-reduction
 // ablation (network size and runtime with/without Lemma 15) and verifies
 // the optimum against brute force at the smallest n.
 
@@ -26,7 +28,8 @@ void Run() {
   bench::PrintHeader(
       "E2", "Theorem 4",
       "passive weighted classification solves exactly in O(dn^2) + "
-      "T_maxflow(n); the Lemma 15 reduction shrinks the network");
+      "T_maxflow(n), with O(n log n) sweeps for the quadratic passes at "
+      "d = 2; the Lemma 15 reduction shrinks the network");
 
   bench::PrintSection("runtime scaling in n (d = 2, 1% label noise)");
   {

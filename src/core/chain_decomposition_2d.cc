@@ -3,11 +3,10 @@
 
 #include "core/chain_decomposition_2d.h"
 
-#include <algorithm>
 #include <map>
-#include <numeric>
 #include <vector>
 
+#include "core/dominance.h"
 #include "core/invariant_audit.h"
 #include "obs/obs.h"
 #include "util/audit.h"
@@ -25,13 +24,7 @@ ChainDecomposition MinimumChainDecomposition2D(const PointSet& points) {
   // last (consistent with DominanceSucceeds: equal points ascend by
   // index). If p comes before q in this order, q never strictly precedes
   // p in the dominance order.
-  std::vector<size_t> order(points.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&points](size_t a, size_t b) {
-    if (points[a][0] != points[b][0]) return points[a][0] < points[b][0];
-    if (points[a][1] != points[b][1]) return points[a][1] < points[b][1];
-    return a < b;
-  });
+  const std::vector<size_t> order = LexicographicOrder2D(points.points());
 
   // Patience greedy over y: tails maps each open chain's current tail y
   // to its chain id (a multimap: several chains may share a tail value).

@@ -3,9 +3,14 @@
 
 #include "core/classifier.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
+
+#include "core/dominance.h"
+#include "obs/obs.h"
 
 namespace monoclass {
 
@@ -115,15 +120,47 @@ double WeightedError(const MonotoneClassifier& h,
 bool IsMonotoneAssignment(const PointSet& points,
                           const std::vector<Label>& values) {
   MC_CHECK_EQ(points.size(), values.size());
-  for (size_t i = 0; i < points.size(); ++i) {
+  if (points.dimension() != 2) return IsMonotoneAssignmentScan(points, values);
+
+  // A value-0 point breaks monotonicity iff some value-1 point at x' <= x
+  // has y' <= y.
+  const std::vector<Point>& p = points.points();
+  const std::vector<size_t> order = LexicographicOrder2D(p);
+  double min_y1 = std::numeric_limits<double>::infinity();
+  size_t visited = 0;
+  const bool monotone = ForEachEqualXRun(
+      p, order, /*descending=*/false, [&](size_t begin, size_t end) {
+        visited = end;
+        for (size_t k = begin; k < end; ++k) {
+          if (values[order[k]] == 1) min_y1 = std::min(min_y1, p[order[k]][1]);
+        }
+        for (size_t k = begin; k < end; ++k) {
+          if (values[order[k]] == 0 && p[order[k]][1] >= min_y1) return false;
+        }
+        return true;
+      });
+  MC_COUNTER("mc.dom.sweep_points", visited);
+  return monotone;
+}
+
+bool IsMonotoneAssignmentScan(const PointSet& points,
+                              const std::vector<Label>& values) {
+  MC_CHECK_EQ(points.size(), values.size());
+  uint64_t pairs = 0;
+  bool monotone = true;
+  for (size_t i = 0; i < points.size() && monotone; ++i) {
     if (values[i] != 0) continue;
     for (size_t j = 0; j < points.size(); ++j) {
-      if (values[j] == 1 && i != j && DominatesEq(points[i], points[j])) {
-        return false;  // points[i] dominates a positive point but is 0
+      if (values[j] != 1 || i == j) continue;
+      ++pairs;
+      if (DominatesEq(points[i], points[j])) {
+        monotone = false;  // points[i] dominates a positive point but is 0
+        break;
       }
     }
   }
-  return true;
+  MC_COUNTER("mc.dom.scan_pairs", pairs);
+  return monotone;
 }
 
 bool EquivalentOn(const MonotoneClassifier& a, const MonotoneClassifier& b,
@@ -137,11 +174,44 @@ bool EquivalentOn(const MonotoneClassifier& a, const MonotoneClassifier& b,
 }
 
 std::vector<Point> MinimalGenerators(std::vector<Point> generators) {
+  if (generators.empty() || generators[0].dimension() != 2) {
+    return MinimalGeneratorsScan(std::move(generators));
+  }
+  for (const Point& g : generators) {
+    MC_CHECK_EQ(g.dimension(), 2u);
+    MC_CHECK(!std::isnan(g[0]) && !std::isnan(g[1]))
+        << "generator coordinates must not be NaN, got " << g.ToString();
+  }
+  // Everything earlier in (x, y, index) order has x' <= x, and a weakly
+  // dominated generator (or a later duplicate) always comes after the one
+  // below it. So a generator survives iff its y is strictly below every
+  // earlier generator's y. Survivors are compacted to the front of
+  // `order`, then put back in input order.
+  std::vector<size_t> order = LexicographicOrder2D(generators);
+  size_t kept = 0;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const size_t i = order[k];
+    if (kept == 0 || generators[i][1] < generators[order[kept - 1]][1]) {
+      order[kept++] = i;
+    }
+  }
+  MC_COUNTER("mc.dom.sweep_points", order.size());
+  order.resize(kept);
+  std::sort(order.begin(), order.end());
+  std::vector<Point> minimal;
+  minimal.reserve(kept);
+  for (const size_t i : order) minimal.push_back(std::move(generators[i]));
+  return minimal;
+}
+
+std::vector<Point> MinimalGeneratorsScan(std::vector<Point> generators) {
   const size_t n = generators.size();
   std::vector<bool> keep(n, true);
+  uint64_t pairs = 0;
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < n && keep[i]; ++j) {
       if (i == j) continue;
+      ++pairs;
       if (!DominatesEq(generators[i], generators[j])) continue;
       if (generators[i] != generators[j]) {
         keep[i] = false;  // strictly above another generator
@@ -150,6 +220,7 @@ std::vector<Point> MinimalGenerators(std::vector<Point> generators) {
       }
     }
   }
+  MC_COUNTER("mc.dom.scan_pairs", pairs);
   std::vector<Point> minimal;
   for (size_t i = 0; i < n; ++i) {
     if (keep[i]) minimal.push_back(std::move(generators[i]));

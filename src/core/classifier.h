@@ -87,16 +87,31 @@ size_t CountErrors(const MonotoneClassifier& h, const LabeledPointSet& set);
 // w-err_P(h) of eq. (3): total weight of mis-classified points.
 double WeightedError(const MonotoneClassifier& h, const WeightedPointSet& set);
 
-// Audits that an explicit 0/1 assignment over `points` respects dominance
-// (no p >= q with value(p) = 0, value(q) = 1). O(d n^2).
+// Checks that an explicit 0/1 assignment over `points` respects dominance
+// (no p >= q with value(p) = 0, value(q) = 1; Lemma 16 for the cut
+// classifier). At d = 2 an ascending-x sweep with the running minimum y of
+// the value-1 points decides it in O(n log n) and stops at the first
+// conflict; every other dimension runs IsMonotoneAssignmentScan.
 bool IsMonotoneAssignment(const PointSet& points,
                           const std::vector<Label>& values);
 
+// The O(d n^2) pairwise check, for any d: the path at d != 2 and the
+// reference for the sweep.
+bool IsMonotoneAssignmentScan(const PointSet& points,
+                              const std::vector<Label>& values);
+
 // Prunes non-minimal points from a generator set: keeps each point that is
 // not weakly dominated by a *different remaining* generator (one survivor
-// per duplicate group). The result is an antichain generating the same
-// upward closure.
+// per duplicate group, the first). The result is an antichain generating
+// the same upward closure; survivors keep their input order. At d = 2 a
+// sweep in (x, y, index) order keeps a generator iff its y is strictly
+// below every earlier one's, in O(n log n); coordinates may be infinite
+// but not NaN there. Every other dimension runs MinimalGeneratorsScan.
 std::vector<Point> MinimalGenerators(std::vector<Point> generators);
+
+// The O(d n^2) pairwise pruning, for any d: the path at d != 2 and the
+// reference for the sweep.
+std::vector<Point> MinimalGeneratorsScan(std::vector<Point> generators);
 
 // True iff the two classifiers agree on every point of `points` (finite
 // restriction equality; classifiers that differ off the set may compare

@@ -3,6 +3,9 @@
 
 #include "core/dominance.h"
 
+#include <algorithm>
+#include <numeric>
+
 namespace monoclass {
 
 bool DominanceSucceeds(const PointSet& points, size_t after, size_t before) {
@@ -26,6 +29,17 @@ DagAdjacency BuildDominanceDag(const PointSet& points) {
     }
   }
   return adjacency;
+}
+
+std::vector<size_t> LexicographicOrder2D(const std::vector<Point>& points) {
+  std::vector<size_t> order(points.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&points](size_t a, size_t b) {
+    if (points[a][0] != points[b][0]) return points[a][0] < points[b][0];
+    if (points[a][1] != points[b][1]) return points[a][1] < points[b][1];
+    return a < b;
+  });
+  return order;
 }
 
 }  // namespace monoclass

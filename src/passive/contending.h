@@ -41,17 +41,30 @@ struct ContendingPartition {
   std::vector<bool> is_contending;
 };
 
-// Computes P^con in O(d n^2) time. Coordinate-equal pairs with opposite
-// labels are mutually contending (each weakly dominates the other).
+// Computes P^con. Coordinate-equal pairs with opposite labels are
+// mutually contending (each weakly dominates the other).
 //
-// The O(n^2) dominance scan is row-partitioned across `parallel`
-// workers; whether point i is contending depends only on row i, so the
-// shards are independent and their index lists concatenate in shard
-// order to the same increasing sequence a serial scan produces.
-// threads = 1 (or a single shard) runs inline with no pool involvement.
+// At d = 2 this is a sweep over the points sorted by (x, y), O(n log n)
+// on the calling thread: ascending x with the running minimum y of the
+// label-1 points marks the label-0 points, descending x with the running
+// maximum y of the label-0 points marks the label-1 points. Every other
+// dimension runs ComputeContendingScan, the only place `parallel` is
+// used. Both paths return the same partition.
 ContendingPartition ComputeContending(const PointSet& points,
                                       const std::vector<Label>& labels,
                                       const ParallelOptions& parallel = {});
+
+// The O(d n^2) pairwise scan, for any d: the path at d != 2 and the
+// reference the d = 2 sweep is checked against.
+//
+// The scan is row-partitioned across `parallel` workers; whether point i
+// is contending depends only on row i, so the shards are independent and
+// their index lists concatenate in shard order to the same increasing
+// sequence a serial scan produces. threads = 1 (or a single shard) runs
+// inline with no pool involvement.
+ContendingPartition ComputeContendingScan(const PointSet& points,
+                                          const std::vector<Label>& labels,
+                                          const ParallelOptions& parallel = {});
 
 }  // namespace monoclass
 

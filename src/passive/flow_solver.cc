@@ -51,26 +51,22 @@ PassiveSolveResult SolvePassiveWeighted(const WeightedPointSet& set,
   MC_LATENCY("mc.lat.passive_solve");
   MC_HISTOGRAM("passive.points", n);
 
-  // Step 1: the point indices that participate in the network.
+  // Step 1: the point indices that participate in the network: the
+  // contending points, or every point when the reduction is off (the
+  // partition then only fills num_contending).
+  PassiveSolveResult result{.classifier =
+                                MonotoneClassifier::AlwaysZero(set.dimension())};
   std::vector<size_t> active;
   {
     MC_SPAN("passive/contending");
-    if (options.reduce_to_contending) {
-      active = ComputeContending(set.points(), set.labels(), options.parallel)
-                   .contending;
-    } else {
+    active = ComputeContending(set.points(), set.labels(), options.parallel)
+                 .contending;
+    result.num_contending = active.size();
+    if (!options.reduce_to_contending) {
       active.resize(n);
       std::iota(active.begin(), active.end(), size_t{0});
     }
   }
-
-  PassiveSolveResult result{.classifier =
-                                MonotoneClassifier::AlwaysZero(set.dimension())};
-  result.num_contending =
-      options.reduce_to_contending
-          ? active.size()
-          : ComputeContending(set.points(), set.labels(), options.parallel)
-                .contending.size();
   MC_HISTOGRAM("passive.contending_points", result.num_contending);
   MC_GAUGE("passive.contending_fraction",
            static_cast<double>(result.num_contending) /

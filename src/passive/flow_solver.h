@@ -2,7 +2,10 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Theorem 4: exact passive weighted monotone classification in
-// O(d n^2) + T_maxflow(n) time.
+// O(d n^2) + T_maxflow(n) time. At d = 2 the quadratic passes (the
+// contending scan, the Lemma 16 check and generator pruning) are
+// O(n log n) sweeps, so the solve costs the network build plus
+// T_maxflow(n) on top of O(n log n).
 //
 // Pipeline (paper Section 5.1):
 //   1. restrict to the contending points P^con (Lemma 15);
@@ -44,7 +47,8 @@ struct PassiveSolveOptions {
   // points.
   PassiveNetworkBuild network = PassiveNetworkBuild::kAuto;
   size_t sparse_auto_threshold = 1024;
-  // Parallelism for the O(n^2) phases: the contending scan and the
+  // Parallelism for the O(n^2) phases: the contending scan (at d != 2;
+  // the d = 2 sweep runs serially on the caller's thread) and the
   // dominance-edge construction. Both are row-partitioned with
   // per-shard buffers concatenated in shard order, so the network (and
   // hence the classifier) is bit-identical to the serial build at any

@@ -5,12 +5,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "core/chain_decomposition.h"
 #include "core/classifier.h"
+#include "core/dominance.h"
 #include "core/invariant_audit.h"
 #include "graph/flow_audit.h"
 #include "obs/obs.h"
@@ -488,14 +491,80 @@ void IncrementalPassiveSolver::FinishDelta() {
 
 void IncrementalPassiveSolver::InitConflictCounts() {
   const size_t n = records_.size();
-  // Row i's count depends only on row i: shards write disjoint records.
-  ParallelFor(n, options_.parallel, [&](size_t begin, size_t end, size_t) {
+  if (points_.dimension() == 2) {
+    // The ComputeContending sweep, counting instead of marking: a Fenwick
+    // tree over y ranks holds the points folded so far, so a label-0
+    // point's count is the folded label-1 points at y' <= y (ascending
+    // x), and a label-1 point's count is the folded label-0 points at
+    // y' >= y (descending x). Ranks compare by value (-0.0 ties 0.0).
+    const std::vector<Point>& p = points_.points();
+    std::vector<size_t> order = LexicographicOrder2D(p);
+    std::erase_if(order, [&](size_t id) { return !records_[id].live; });
+    std::vector<double> ys;
+    ys.reserve(order.size());
+    for (const size_t id : order) ys.push_back(p[id][1]);
+    std::sort(ys.begin(), ys.end());
+    ys.erase(std::unique(ys.begin(), ys.end()), ys.end());
+    const size_t m = ys.size();
+    const auto rank = [&](size_t id) {
+      return static_cast<size_t>(
+          std::lower_bound(ys.begin(), ys.end(), p[id][1]) - ys.begin());
+    };
+    // tree[r] (1-based) counts folded ranks in (r - lowbit(r), r].
+    std::vector<size_t> tree(m + 1, 0);
+    const auto add = [&](size_t r) {
+      for (++r; r <= m; r += r & (~r + 1)) ++tree[r];
+    };
+    const auto count_at_most = [&](size_t r) {
+      size_t count = 0;
+      for (++r; r > 0; r -= r & (~r + 1)) count += tree[r];
+      return count;
+    };
+    ForEachEqualXRun(p, order, /*descending=*/false, [&](size_t begin,
+                                                         size_t end) {
+      for (size_t k = begin; k < end; ++k) {
+        if (records_[order[k]].label == 1) add(rank(order[k]));
+      }
+      for (size_t k = begin; k < end; ++k) {
+        PointRecord& record = records_[order[k]];
+        if (record.label == 0) record.conflicts = count_at_most(rank(order[k]));
+      }
+      return true;
+    });
+    // Reversed ranks turn "y' >= y" into a prefix count.
+    std::fill(tree.begin(), tree.end(), size_t{0});
+    ForEachEqualXRun(p, order, /*descending=*/true, [&](size_t begin,
+                                                        size_t end) {
+      for (size_t k = begin; k < end; ++k) {
+        if (records_[order[k]].label == 0) add(m - 1 - rank(order[k]));
+      }
+      for (size_t k = begin; k < end; ++k) {
+        PointRecord& record = records_[order[k]];
+        if (record.label == 1) {
+          record.conflicts = count_at_most(m - 1 - rank(order[k]));
+        }
+      }
+      return true;
+    });
+    MC_COUNTER("mc.dom.sweep_points", order.size());
+    return;
+  }
+
+  // Row i's count depends only on row i: shards write disjoint records
+  // and their own count of tested pairs.
+  const size_t max_shards = std::max<size_t>(
+      size_t{1}, std::min<size_t>(options_.parallel.Resolve(), n));
+  std::vector<uint64_t> shard_pairs(max_shards, 0);
+  ParallelFor(n, options_.parallel, [&](size_t begin, size_t end,
+                                        size_t shard) {
     MC_SPAN("par.inc_conflict_init");
+    uint64_t pairs = 0;
     for (size_t i = begin; i < end; ++i) {
       if (!records_[i].live) continue;
       size_t count = 0;
       for (size_t j = 0; j < n; ++j) {
         if (i == j || !records_[j].live) continue;
+        ++pairs;
         if (LabelsConflict(points_[i], records_[i].label, points_[j],
                            records_[j].label)) {
           ++count;
@@ -503,7 +572,11 @@ void IncrementalPassiveSolver::InitConflictCounts() {
       }
       records_[i].conflicts = count;
     }
+    shard_pairs[shard] = pairs;
   });
+  uint64_t pairs = 0;
+  for (const uint64_t shard : shard_pairs) pairs += shard;
+  MC_COUNTER("mc.dom.scan_pairs", pairs);
 }
 
 AuditResult IncrementalPassiveSolver::AuditConflictCounts() const {

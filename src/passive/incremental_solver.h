@@ -94,6 +94,8 @@ class IncrementalPassiveSolver {
  public:
   explicit IncrementalPassiveSolver(IncrementalSolveOptions options = {});
   // Bulk-loads `initial` (ids 0..initial.size()-1) and cold-solves once.
+  // Counting the conflicts takes O(n log n) at d = 2 and O(d n^2)
+  // otherwise.
   explicit IncrementalPassiveSolver(const WeightedPointSet& initial,
                                     IncrementalSolveOptions options = {});
 
@@ -128,8 +130,9 @@ class IncrementalPassiveSolver {
   // from first principles (AuditMinCut with an explicit relay mask,
   // Lemmas 7/8/18 + relay purity) and cross-checks assignment, weighted
   // error and classifier bit-for-bit against a cold SolvePassive on
-  // Snapshot(). O(d n^2) -- this is the proof obligation, not the fast
-  // path.
+  // Snapshot(). It costs a cold solve (O(d n^2) + T_maxflow, the
+  // quadratic passes O(n log n) at d = 2) -- this is the proof
+  // obligation, not the fast path.
   AuditResult AuditIncrementalCut();
 
   const IncrementalStats& stats() const { return stats_; }
@@ -210,6 +213,8 @@ class IncrementalPassiveSolver {
   // the live records (conflict counts are maintained incrementally and
   // stay authoritative across rebuilds).
   void Rebuild();
+  // Bulk-load counts: an O(n log n) sweep with a Fenwick tree over y
+  // ranks at d = 2, the sharded O(d n^2) pairwise scan elsewhere.
   void InitConflictCounts();
   // O(d n^2) recount of every conflict counter, for MC_AUDIT.
   AuditResult AuditConflictCounts() const;

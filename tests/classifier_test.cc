@@ -8,7 +8,9 @@
 
 #include "core/classifier.h"
 
+#include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +192,100 @@ TEST(MonotoneAssignmentTest, AuditsDominancePairs) {
   EXPECT_TRUE(IsMonotoneAssignment(points, {0, 0, 0}));
   EXPECT_TRUE(IsMonotoneAssignment(points, {0, 1, 0}));  // incomparable pair
   EXPECT_FALSE(IsMonotoneAssignment(points, {1, 0, 0}));
+}
+
+// ---------------------------------------------------------------------
+// d = 2: IsMonotoneAssignment and MinimalGenerators are sweeps; the
+// *Scan functions are the pairwise references they must match.
+
+void ExpectMonotoneSweepMatchesScan(const PointSet& points,
+                                    const std::vector<Label>& values) {
+  EXPECT_EQ(IsMonotoneAssignment(points, values),
+            IsMonotoneAssignmentScan(points, values));
+}
+
+TEST(MonotoneAssignmentSweepTest, EqualXAndEqualYTies) {
+  const PointSet column({Point{1, 2}, Point{1, 1}});
+  EXPECT_FALSE(IsMonotoneAssignment(column, {0, 1}));
+  EXPECT_TRUE(IsMonotoneAssignment(column, {1, 0}));
+  const PointSet row({Point{2, 1}, Point{1, 1}});
+  EXPECT_FALSE(IsMonotoneAssignment(row, {0, 1}));
+  EXPECT_TRUE(IsMonotoneAssignment(row, {1, 0}));
+  for (const std::vector<Label>& values :
+       {std::vector<Label>{0, 1}, std::vector<Label>{1, 0}}) {
+    ExpectMonotoneSweepMatchesScan(column, values);
+    ExpectMonotoneSweepMatchesScan(row, values);
+  }
+}
+
+TEST(MonotoneAssignmentSweepTest, CoordinateEqualPointsAndSignedZeros) {
+  const PointSet equal({Point{1, 1}, Point{1, 1}});
+  EXPECT_FALSE(IsMonotoneAssignment(equal, {1, 0}));
+  EXPECT_FALSE(IsMonotoneAssignment(equal, {0, 1}));
+  EXPECT_TRUE(IsMonotoneAssignment(equal, {1, 1}));
+  const PointSet zeros({Point{-0.0, 0.0}, Point{0.0, -0.0}});
+  EXPECT_FALSE(IsMonotoneAssignment(zeros, {1, 0}));
+  EXPECT_FALSE(IsMonotoneAssignment(zeros, {0, 1}));
+  ExpectMonotoneSweepMatchesScan(zeros, {1, 0});
+}
+
+TEST(MonotoneAssignmentSweepTest, SinglePointAndSingleValue) {
+  EXPECT_TRUE(IsMonotoneAssignment(PointSet({Point{3, 4}}), {0}));
+  EXPECT_TRUE(IsMonotoneAssignment(PointSet({Point{3, 4}}), {1}));
+  const PointSet points({Point{0, 0}, Point{1, 1}, Point{1, 1}, Point{2, 0}});
+  EXPECT_TRUE(IsMonotoneAssignment(points, {0, 0, 0, 0}));
+  EXPECT_TRUE(IsMonotoneAssignment(points, {1, 1, 1, 1}));
+}
+
+TEST(MinimalGeneratorsSweepTest, DuplicatesKeepTheFirstInInputOrder) {
+  // (3, 0) and (0, 3) survive; of the duplicate pair at (1, 1), the first.
+  // -0.0 and 0.0 are one coordinate, so (-0.0, 2) duplicates (0.0, 2) and
+  // only the first, with its own bit pattern, survives.
+  const std::vector<Point> generators = {
+      Point{3, 0}, Point{1, 1}, Point{0.0, 2},  Point{1, 1},
+      Point{2, 2}, Point{0, 3}, Point{-0.0, 2}};
+  const std::vector<Point> minimal = MinimalGenerators(generators);
+  ASSERT_EQ(minimal, (std::vector<Point>{Point{3, 0}, Point{1, 1},
+                                         Point{0.0, 2}}));
+  EXPECT_FALSE(std::signbit(minimal[2][0]));
+  EXPECT_EQ(minimal, MinimalGeneratorsScan(generators));
+}
+
+TEST(MinimalGeneratorsSweepTest, MinusInfinityGeneratesEverything) {
+  const std::vector<Point> generators = {Point{1, 1}, Point{-kInf, -kInf},
+                                         Point{-kInf, -kInf}, Point{0, kInf}};
+  const std::vector<Point> minimal = MinimalGenerators(generators);
+  ASSERT_EQ(minimal, (std::vector<Point>{Point{-kInf, -kInf}}));
+  EXPECT_EQ(minimal, MinimalGeneratorsScan(generators));
+  EXPECT_TRUE(MonotoneClassifier::FromGenerators(generators, 2).IsAlwaysOne());
+  EXPECT_TRUE(MinimalGenerators({}).empty());
+}
+
+TEST(ClassifierSweepTest, MatchesScansOnRandomGridSets) {
+  Rng rng(101);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.UniformInt(30);
+    std::vector<Point> points;
+    std::vector<Label> values;
+    for (size_t i = 0; i < n; ++i) {
+      const auto coord = [&rng] {
+        const double c = static_cast<double>(rng.UniformInt(4)) - 1.0;
+        return c == 0.0 && rng.UniformInt(2) == 0 ? -0.0 : c;
+      };
+      const double x = coord();
+      points.push_back(Point{x, coord()});
+      values.push_back(static_cast<Label>(rng.UniformInt(2)));
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectMonotoneSweepMatchesScan(PointSet(points), values);
+    const std::vector<Point> minimal = MinimalGenerators(points);
+    const std::vector<Point> reference = MinimalGeneratorsScan(points);
+    ASSERT_EQ(minimal, reference);
+    for (size_t i = 0; i < minimal.size(); ++i) {
+      EXPECT_EQ(std::signbit(minimal[i][0]), std::signbit(reference[i][0]));
+      EXPECT_EQ(std::signbit(minimal[i][1]), std::signbit(reference[i][1]));
+    }
+  }
 }
 
 TEST(ClassifierTest, ToStringMentionsGenerators) {

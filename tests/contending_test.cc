@@ -86,5 +86,84 @@ TEST(ContendingTest, DefinitionAuditOnRandomSets) {
   }
 }
 
+// ---------------------------------------------------------------------
+// d = 2: ComputeContending is a sweep; ComputeContendingScan is the
+// pairwise reference it must match bit for bit.
+
+void ExpectSweepMatchesScan(const PointSet& points,
+                            const std::vector<Label>& labels) {
+  const auto sweep = ComputeContending(points, labels);
+  const auto scan = ComputeContendingScan(points, labels);
+  EXPECT_EQ(sweep.contending, scan.contending);
+  EXPECT_EQ(sweep.is_contending, scan.is_contending);
+}
+
+TEST(ContendingSweepTest, EqualXDifferentY) {
+  // Label-0 (1, 2) sits above label-1 (1, 1) on one vertical line; the
+  // reverse labels are monotone.
+  const PointSet points({Point{1, 2}, Point{1, 1}, Point{1, 3}});
+  const auto partition = ComputeContending(points, {0, 1, 1});
+  EXPECT_EQ(partition.contending, (std::vector<size_t>{0, 1}));
+  EXPECT_TRUE(ComputeContending(points, {1, 0, 1}).contending.empty());
+  ExpectSweepMatchesScan(points, {0, 1, 1});
+  ExpectSweepMatchesScan(points, {1, 0, 1});
+}
+
+TEST(ContendingSweepTest, EqualYDifferentX) {
+  const PointSet points({Point{2, 1}, Point{1, 1}, Point{0, 1}});
+  const auto partition = ComputeContending(points, {0, 1, 0});
+  EXPECT_EQ(partition.contending, (std::vector<size_t>{0, 1}));
+  EXPECT_FALSE(partition.is_contending[2]);
+  ExpectSweepMatchesScan(points, {0, 1, 0});
+  ExpectSweepMatchesScan(points, {1, 0, 1});
+}
+
+TEST(ContendingSweepTest, CoordinateEqualOppositeLabelsAreBothContending) {
+  const PointSet points({Point{1, 1}, Point{0, 5}, Point{1, 1}});
+  const auto partition = ComputeContending(points, {1, 0, 0});
+  EXPECT_EQ(partition.contending, (std::vector<size_t>{0, 2}));
+  ExpectSweepMatchesScan(points, {1, 0, 0});
+}
+
+TEST(ContendingSweepTest, NegativeZeroTiesZero) {
+  // -0.0 and 0.0 are one coordinate: the two points are coordinate-equal.
+  const PointSet points({Point{-0.0, 0.0}, Point{0.0, -0.0}});
+  const auto partition = ComputeContending(points, {1, 0});
+  EXPECT_EQ(partition.contending, (std::vector<size_t>{0, 1}));
+  ExpectSweepMatchesScan(points, {1, 0});
+  ExpectSweepMatchesScan(points, {0, 1});
+}
+
+TEST(ContendingSweepTest, SinglePointAndSingleLabel) {
+  const PointSet one({Point{3, 4}});
+  EXPECT_TRUE(ComputeContending(one, {0}).contending.empty());
+  EXPECT_TRUE(ComputeContending(one, {1}).contending.empty());
+  const PointSet points({Point{0, 0}, Point{1, 1}, Point{1, 1}, Point{2, 0}});
+  EXPECT_TRUE(ComputeContending(points, {0, 0, 0, 0}).contending.empty());
+  EXPECT_TRUE(ComputeContending(points, {1, 1, 1, 1}).contending.empty());
+  EXPECT_TRUE(ComputeContending(PointSet(), {}).contending.empty());
+}
+
+TEST(ContendingSweepTest, MatchesScanOnRandomGridSets) {
+  // A coarse grid with signed zeros makes ties and duplicates common.
+  Rng rng(97);
+  for (int trial = 0; trial < 300; ++trial) {
+    const size_t n = 1 + rng.UniformInt(30);
+    PointSet points;
+    std::vector<Label> labels;
+    for (size_t i = 0; i < n; ++i) {
+      const auto coord = [&rng] {
+        const double c = static_cast<double>(rng.UniformInt(4)) - 1.0;
+        return c == 0.0 && rng.UniformInt(2) == 0 ? -0.0 : c;
+      };
+      const double x = coord();
+      points.Add(Point{x, coord()});
+      labels.push_back(static_cast<Label>(rng.UniformInt(2)));
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectSweepMatchesScan(points, labels);
+  }
+}
+
 }  // namespace
 }  // namespace monoclass

@@ -15,11 +15,21 @@
 #include <vector>
 
 #include "core/dataset.h"
+#include "passive/contending.h"
 #include "passive/flow_solver.h"
 #include "test_util.h"
 #include "util/random.h"
 
 namespace monoclass {
+
+// Reads the maintained per-point conflict counts (white-box, as in
+// audit_failure_test).
+struct IncrementalSolverTestPeer {
+  static size_t conflicts(const IncrementalPassiveSolver& solver, size_t id) {
+    return solver.records_[id].conflicts;
+  }
+};
+
 namespace {
 
 // Cold reference on the solver's current snapshot.
@@ -286,6 +296,51 @@ TEST(IncrementalSolverTest, StatsAndDiagnosticsTrackDeltas) {
   EXPECT_EQ(solver.NumRelays(),
             solver.Solve().network_relays);
   ExpectMatchesCold(solver, "after stats stream");
+}
+
+// The bulk load counts conflicts with a sweep at d = 2 and a pairwise
+// scan elsewhere; both must equal a brute-force recount of the
+// LabelsConflict partners, and the counts the delta path (one Insert per
+// point) maintains. Signed zeros and the coarse grid make ties, equal
+// points and opposite-label duplicates common.
+TEST(IncrementalSolverTest, BulkLoadedConflictCountsMatchRecount) {
+  Rng rng(103);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t d = trial % 3 == 2 ? 3 : 2;
+    const size_t n = 1 + rng.UniformInt(40);
+    WeightedPointSet initial;
+    for (size_t i = 0; i < n; ++i) {
+      Point point = GridPoint(rng, d);
+      std::vector<double> coords = point.coordinates();
+      for (double& c : coords) {
+        if (c == 0.0 && rng.Bernoulli(0.5)) c = -0.0;
+      }
+      initial.Add(Point(std::move(coords)), rng.Bernoulli(0.5) ? 1 : 0, 1.0);
+    }
+    IncrementalSolveOptions options;
+    options.parallel.threads = 1 + trial % 3;
+    const IncrementalPassiveSolver bulk(initial, options);
+    IncrementalPassiveSolver inserted(options);
+    for (size_t i = 0; i < n; ++i) {
+      inserted.Insert(initial.point(i), initial.label(i), initial.weight(i));
+    }
+    size_t contending = 0;
+    for (size_t i = 0; i < n; ++i) {
+      size_t expected = 0;
+      for (size_t j = 0; j < n; ++j) {
+        if (i != j && LabelsConflict(initial.point(i), initial.label(i),
+                                     initial.point(j), initial.label(j))) {
+          ++expected;
+        }
+      }
+      contending += expected > 0 ? 1 : 0;
+      EXPECT_EQ(IncrementalSolverTestPeer::conflicts(bulk, i), expected)
+          << "trial " << trial << ", d " << d << ", id " << i;
+      EXPECT_EQ(IncrementalSolverTestPeer::conflicts(inserted, i), expected)
+          << "trial " << trial << ", d " << d << ", id " << i;
+    }
+    EXPECT_EQ(bulk.NumContending(), contending) << "trial " << trial;
+  }
 }
 
 }  // namespace

@@ -755,6 +755,12 @@ void CollectFunctionDefs(const SourceFile& f,
       continue;
     }
     if (t[i + 1].kind != TokKind::kPunct || t[i + 1].text != "(") continue;
+    // src/ defines nothing in namespace std, so `std::name(` is always a
+    // call. A call in a constructor initializer list could otherwise pass
+    // for a definition: the scan below runs on to the next depth-0 '{'
+    // (a later lambda body, say), and every caller of that name, such as
+    // std::move, would then reach whatever that body calls.
+    if (i >= 2 && t[i - 1].text == "::" && t[i - 2].text == "std") continue;
     const size_t close = MatchingParen(t, i + 1);
     if (close >= t.size()) continue;
     size_t k = close + 1;

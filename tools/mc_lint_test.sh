@@ -337,6 +337,21 @@ EOF
 sed -i "7r $tmp/tree/src/util/solver.h.body" "$tmp/tree/src/util/good.h"
 expect_rule "an entry point with no audit hook in its closure" MC009
 
+# A std:: call is never a definition. Here `std::move(options)` in a
+# constructor initializer would otherwise be read as a function named
+# `move` whose body is the later lambda's, and the entry point's own
+# std::move call would reach the audit through it.
+make_clean_tree
+cat > "$tmp/tree/src/util/solver.h.body" <<'EOF'
+
+inline void Audited() { MC_AUDIT(AuditMonotone(0)); }
+inline Server::Server(int options) : options_(std::move(options)) {}
+inline void Server::Start() { Spawn([this] { Audited(); }); }
+inline int SolvePassiveWeighted(int x) { return std::move(x); }
+EOF
+sed -i "7r $tmp/tree/src/util/solver.h.body" "$tmp/tree/src/util/good.h"
+expect_rule "an entry point reaching an audit only through std::move" MC009
+
 # The hook can live arbitrarily deep in the closure, in another file.
 make_clean_tree
 header_boilerplate MONOCLASS_UTIL_DEEP_H_ > "$tmp/tree/src/util/deep.h"
