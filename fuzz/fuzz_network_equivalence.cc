@@ -9,11 +9,14 @@
 // relay wiring). The sparse rewrite is provably cut-preserving, so the
 // harness demands *bit-identical* optimum, assignment and classifier --
 // any drift is a finding. Built with MONOCLASS_AUDIT=ON every solve also
-// re-verifies Lemmas 7/8/18 and relay purity internally.
+// re-verifies Lemmas 7/8/18 and relay purity internally. The shared relay
+// wiring (WireRelays) is also compared, wire for wire, with one
+// HighestDominatedPosition per (label-0 point, chain).
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "fuzz/fuzz_util.h"
 #include "monoclass.h"
@@ -22,10 +25,52 @@ namespace monoclass {
 namespace fuzz {
 namespace {
 
+// WireRelays against the unfiltered loop, on the sparse builder's shape:
+// chains over every point keep their label-1 members (some may end up
+// empty) and the label-0 points are wired.
+void CheckRelayWiring(const WeightedPointSet& set, size_t threads) {
+  const ChainDecomposition decomposition =
+      ScalableChainDecomposition(set.points(), kSparseExactMatchingLimit);
+  std::vector<std::vector<size_t>> chains;
+  for (const std::vector<size_t>& chain : decomposition.chains) {
+    chains.emplace_back();
+    for (const size_t i : chain) {
+      if (set.label(i) == 1) chains.back().push_back(i);
+    }
+  }
+  std::vector<size_t> queries;
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (set.label(i) == 0) queries.push_back(i);
+  }
+  std::vector<RelayWire> want;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    size_t offset = 0;
+    for (const std::vector<size_t>& chain : chains) {
+      const size_t t =
+          HighestDominatedPosition(set.points(), chain, set.point(queries[q]));
+      if (t != kNoDominatedMember) want.emplace_back(q, offset + t);
+      offset += chain.size();
+    }
+  }
+  ParallelOptions parallel;
+  parallel.threads = threads;
+  std::vector<RelayWire> got;
+  for (const std::vector<RelayWire>& shard :
+       WireRelays(set.points(), queries, chains, parallel)) {
+    got.insert(got.end(), shard.begin(), shard.end());
+  }
+  FuzzExpect(got == want,
+             "network/relay_wiring(threads=" + std::to_string(threads) + ")",
+             "WireRelays yields " + std::to_string(got.size()) +
+                 " wires, the unfiltered loop " +
+                 std::to_string(want.size()));
+}
+
 void FuzzOne(const uint8_t* data, size_t size) {
   FuzzInput in(data, size);
   const WeightedPointSet set = DecodeWeightedPointSet(in, 1, 48, 4);
   const size_t threads = DecodeThreadCount(in);
+  CheckRelayWiring(set, threads);
 
   PassiveSolveOptions dense;
   dense.network = PassiveNetworkBuild::kDense;

@@ -20,7 +20,9 @@
 // the solved assignment and on an assignment decoded from the input, and
 // the minimal generators of the set's points. The sweeps see a copy of
 // the points in which decoded zero coordinates may be -0.0. The flow
-// optimum is compared with the 2D staircase DP at every size.
+// optimum is compared with the 2D staircase DP at every size, and
+// WeightedError's sorted-generator path must equal the per-generator
+// loop exactly, on the input and on its signed-zero copy.
 
 #include <cmath>
 #include <cstddef>
@@ -129,6 +131,12 @@ void FuzzOne(const uint8_t* data, size_t size) {
                "assignment size mismatch");
 
     const double achieved = ClassifierWeightedError(result.classifier, set);
+    if (set.dimension() == 2) {
+      FuzzExpect(WeightedError(result.classifier, set) == achieved, context,
+                 "WeightedError " +
+                     std::to_string(WeightedError(result.classifier, set)) +
+                     " != per-generator loop " + std::to_string(achieved));
+    }
     FuzzExpect(
         std::abs(achieved - result.optimal_weighted_error) <=
             1e-6 * std::max(1.0, result.optimal_weighted_error),
@@ -150,8 +158,18 @@ void FuzzOne(const uint8_t* data, size_t size) {
   }
 
   if (set.dimension() == 2) {
-    CheckSweepsAgainstScans(WithSignedZeros(set.points(), signs),
-                            set.labels(), solved, decoded);
+    const PointSet signed_points = WithSignedZeros(set.points(), signs);
+    CheckSweepsAgainstScans(signed_points, set.labels(), solved, decoded);
+    WeightedPointSet signed_set;
+    for (size_t i = 0; i < set.size(); ++i) {
+      signed_set.Add(signed_points[i], set.label(i), set.weight(i));
+    }
+    const auto h = MonotoneClassifier::FromGenerators(
+        set.points().points(), set.dimension());
+    FuzzExpect(WeightedError(h, signed_set) ==
+                   ClassifierWeightedError(h, signed_set),
+               "weighted_error/signed_zeros",
+               "WeightedError disagrees with the per-generator loop");
     const Staircase2DResult staircase = SolvePassiveStaircase2D(set);
     FuzzExpect(std::abs(staircase.optimal_weighted_error - reference) <=
                    1e-6 * std::max(1.0, reference),

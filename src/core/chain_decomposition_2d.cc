@@ -3,7 +3,8 @@
 
 #include "core/chain_decomposition_2d.h"
 
-#include <map>
+#include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "core/dominance.h"
@@ -26,26 +27,27 @@ ChainDecomposition MinimumChainDecomposition2D(const PointSet& points) {
   // p in the dominance order.
   const std::vector<size_t> order = LexicographicOrder2D(points.points());
 
-  // Patience greedy over y: tails maps each open chain's current tail y
-  // to its chain id (a multimap: several chains may share a tail value).
+  // Patience greedy over y: tails[c] is chain c's current tail y.
   // Appending to the chain with the LARGEST tail <= y is the exchange-
   // argument-optimal choice; the resulting chain count equals the length
-  // of the longest strictly-decreasing y subsequence = the width.
-  std::multimap<double, size_t> tails;
+  // of the longest strictly-decreasing y subsequence = the width. The
+  // tails strictly decrease in c -- a chain opens only below every tail,
+  // and the largest tail <= y, set to y, stays below its left neighbour
+  // and above its right one -- so that chain is the first c with
+  // tails[c] <= y, found by binary search in place.
+  std::vector<double> tails;
   for (const size_t index : order) {
     const double y = points[index][1];
-    auto it = tails.upper_bound(y);
-    if (it == tails.begin()) {
+    const auto it = std::lower_bound(tails.begin(), tails.end(), y,
+                                     std::greater<double>());
+    if (it == tails.end()) {
       // No open chain can absorb this point: open a new one.
-      const size_t chain_id = decomposition.chains.size();
       decomposition.chains.push_back({index});
-      tails.emplace(y, chain_id);
+      tails.push_back(y);
     } else {
-      --it;  // largest tail <= y
-      const size_t chain_id = it->second;
-      decomposition.chains[chain_id].push_back(index);
-      tails.erase(it);
-      tails.emplace(y, chain_id);
+      decomposition.chains[static_cast<size_t>(it - tails.begin())]
+          .push_back(index);
+      *it = y;
     }
   }
   MC_AUDIT(AuditChainDecomposition(points, decomposition,

@@ -84,7 +84,11 @@ class MonotoneClassifier {
 // err_P(h) of eq. (1): number of points of P mis-classified by h.
 size_t CountErrors(const MonotoneClassifier& h, const LabeledPointSet& set);
 
-// w-err_P(h) of eq. (3): total weight of mis-classified points.
+// w-err_P(h) of eq. (3): total weight of mis-classified points. At d = 2
+// the generators sorted by x with a running minimum of y classify each
+// point by one binary search, O((n + G) log G) for G generators, with the
+// same sum bit for bit; every other dimension tests each point against
+// each generator, O(d n G).
 double WeightedError(const MonotoneClassifier& h, const WeightedPointSet& set);
 
 // Checks that an explicit 0/1 assignment over `points` respects dominance

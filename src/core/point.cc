@@ -18,14 +18,6 @@ std::string Point::ToString() const {
   return out.str();
 }
 
-bool DominatesEq(const Point& p, const Point& q) {
-  MC_DCHECK_EQ(p.dimension(), q.dimension());
-  for (size_t i = 0; i < p.dimension(); ++i) {
-    if (p[i] < q[i]) return false;
-  }
-  return true;
-}
-
 bool StrictlyDominates(const Point& p, const Point& q) {
   return p != q && DominatesEq(p, q);
 }

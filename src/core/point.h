@@ -61,8 +61,15 @@ class Point {
 
 // True iff p[i] >= q[i] on every dimension (reflexive dominance). This is
 // exactly the relation a monotone classifier must respect: DominatesEq(p, q)
-// implies h(p) >= h(q).
-bool DominatesEq(const Point& p, const Point& q);
+// implies h(p) >= h(q). Inline: it is the inner test of every dominance
+// scan and binary search.
+inline bool DominatesEq(const Point& p, const Point& q) {
+  MC_DCHECK_EQ(p.dimension(), q.dimension());
+  for (size_t i = 0; i < p.dimension(); ++i) {
+    if (p[i] < q[i]) return false;
+  }
+  return true;
+}
 
 // True iff p and q have different coordinate vectors and DominatesEq(p, q);
 // the paper-literal "p dominates q".

@@ -668,8 +668,10 @@ void IncrementalPassiveSolver::Rebuild() {
             ? AddFiniteEdge(kSource, record.vertex, record.weight)
             : AddFiniteEdge(record.vertex, kSink, record.weight);
   }
+  std::vector<size_t> relay_ids;  // chain members in relay order
   for (size_t c = 0; c < chains_.size(); ++c) {
     for (size_t t = 0; t < chains_[c].size(); ++t) {
+      relay_ids.push_back(chains_[c][t]);
       PointRecord& record = records_[chains_[c][t]];
       record.chain = c;
       record.chain_pos = t;
@@ -681,44 +683,17 @@ void IncrementalPassiveSolver::Rebuild() {
                 : kNone;
     }
   }
-  // Per-point relay wiring: one binary search per (label-0 point, chain),
-  // sharded with shard-order merge (the sparse builder's contract).
-  const size_t num_zeros = zeros.size();
-  const size_t max_shards = std::max<size_t>(
-      size_t{1},
-      std::min<size_t>(options_.parallel.Resolve(),
-                       num_zeros == 0 ? 1 : num_zeros));
-  struct WireHit {
-    size_t zero_index;
-    size_t chain;
-    size_t target;
-  };
-  std::vector<std::vector<WireHit>> shard_hits(max_shards);
-  ParallelFor(num_zeros, options_.parallel,
-              [&](size_t begin, size_t end, size_t shard) {
-                MC_SPAN("par.inc_rebuild_wiring");
-                std::vector<WireHit>& hits = shard_hits[shard];
-                for (size_t k = begin; k < end; ++k) {
-                  const Point& point = points_[zeros[k]];
-                  for (size_t c = 0; c < chains_.size(); ++c) {
-                    if (chains_[c].empty()) continue;
-                    const size_t t =
-                        HighestDominatedPosition(points_, chains_[c], point);
-                    if (t != kNoDominatedMember) {
-                      hits.push_back(WireHit{k, c, chains_[c][t]});
-                    }
-                  }
-                }
-              });
+  // Per-point relay wiring, shared with the sparse builder.
   for (const size_t id : zeros) {
     records_[id].wiring.assign(chains_.size(), WireSlot{});
   }
-  for (const auto& hits : shard_hits) {
-    for (const WireHit& hit : hits) {
-      PointRecord& record = records_[zeros[hit.zero_index]];
-      record.wiring[hit.chain] = WireSlot{
-          hit.target,
-          AddInfiniteEdge(record.vertex, records_[hit.target].relay)};
+  for (const std::vector<RelayWire>& wires :
+       WireRelays(points_, zeros, chains_, options_.parallel)) {
+    for (const auto& [q, r] : wires) {
+      PointRecord& record = records_[zeros[q]];
+      const size_t target = relay_ids[r];
+      record.wiring[records_[target].chain] = WireSlot{
+          target, AddInfiniteEdge(record.vertex, records_[target].relay)};
     }
   }
 

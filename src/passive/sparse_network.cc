@@ -4,10 +4,12 @@
 #include "passive/sparse_network.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "core/chain_decomposition.h"
 #include "obs/obs.h"
+#include "util/check.h"
 
 namespace monoclass {
 
@@ -27,6 +29,62 @@ size_t HighestDominatedPosition(const PointSet& points,
     }
   }
   return lo == 0 ? kNoDominatedMember : lo - 1;
+}
+
+std::vector<std::vector<RelayWire>> WireRelays(
+    const PointSet& points, const std::vector<size_t>& queries,
+    const std::vector<std::vector<size_t>>& chains,
+    const ParallelOptions& parallel) {
+  // The non-empty chains, their first relay, and their lowest members'
+  // coordinates side by side (d doubles per chain) for the bottom test.
+  const size_t d = points.dimension();
+  std::vector<size_t> wired_chains;
+  std::vector<size_t> relay_offset;
+  std::vector<double> bottoms;
+  size_t num_relays = 0;
+  for (size_t c = 0; c < chains.size(); ++c) {
+    if (!chains[c].empty()) {
+      wired_chains.push_back(c);
+      relay_offset.push_back(num_relays);
+      const Point& bottom = points[chains[c].front()];
+      for (size_t i = 0; i < d; ++i) bottoms.push_back(bottom[i]);
+    }
+    num_relays += chains[c].size();
+  }
+
+  const size_t num_queries = queries.size();
+  const size_t max_shards = std::max<size_t>(
+      size_t{1}, std::min<size_t>(parallel.Resolve(),
+                                  num_queries == 0 ? 1 : num_queries));
+  std::vector<std::vector<RelayWire>> shard_wires(max_shards);
+  std::vector<uint64_t> shard_searches(max_shards, 0);
+  ParallelFor(num_queries, parallel,
+              [&](size_t begin, size_t end, size_t shard) {
+                MC_SPAN("par.sparse_relay_wiring");
+                std::vector<RelayWire>& wires = shard_wires[shard];
+                uint64_t searches = 0;
+                for (size_t q = begin; q < end; ++q) {
+                  const Point& point = points[queries[q]];
+                  const double* p = point.coordinates().data();
+                  for (size_t j = 0; j < wired_chains.size(); ++j) {
+                    // DominatesEq(point, bottom), compared by value.
+                    const double* bottom = &bottoms[j * d];
+                    size_t i = 0;
+                    while (i < d && !(p[i] < bottom[i])) ++i;
+                    if (i < d) continue;
+                    ++searches;
+                    const size_t t = HighestDominatedPosition(
+                        points, chains[wired_chains[j]], point);
+                    MC_DCHECK_NE(t, kNoDominatedMember);
+                    wires.emplace_back(q, relay_offset[j] + t);
+                  }
+                }
+                shard_searches[shard] = searches;
+              });
+  uint64_t searches = 0;
+  for (const uint64_t shard : shard_searches) searches += shard;
+  MC_COUNTER("mc.net.relay_searches", searches);
+  return shard_wires;
 }
 
 SparseNetworkPlan BuildSparseChainRelayNetwork(
@@ -51,12 +109,9 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
   // gets one relay. A chain's label-1 members form a chain themselves,
   // so the binary-search prefix property carries over.
   std::vector<std::vector<size_t>> members(decomposition.NumChains());
-  // The same members as indices into set.points(), for the shared
-  // HighestDominatedPosition binary search.
+  // The same members as indices into set.points(), for WireRelays.
   std::vector<std::vector<size_t>> global_members(decomposition.NumChains());
-  std::vector<size_t> relay_offset(decomposition.NumChains(), 0);
   for (size_t c = 0; c < decomposition.chains.size(); ++c) {
-    relay_offset[c] = plan.num_relays;
     for (const size_t k : decomposition.chains[c]) {
       if (set.label(active[k]) == 1) {
         members[c].push_back(k);
@@ -72,11 +127,15 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
       FlowNetwork(static_cast<int>(num_active + plan.num_relays) + 2);
 
   // Terminal edges, in active order (matching the dense build).
+  std::vector<size_t> zeros;      // positions in `active` of label 0
+  std::vector<size_t> zero_ids;   // the same points' indices in `set`
   for (size_t k = 0; k < num_active; ++k) {
     const size_t i = active[k];
     const int vertex = static_cast<int>(k) + 2;
     if (set.label(i) == 0) {
       plan.network.AddEdge(source, vertex, set.weight(i));
+      zeros.push_back(k);
+      zero_ids.push_back(i);
     } else {
       plan.network.AddEdge(vertex, sink, set.weight(i));
     }
@@ -85,11 +144,10 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
 
   // Relay spines: each relay feeds its own label-1 point and the next
   // relay down its chain.
-  for (size_t c = 0; c < members.size(); ++c) {
-    for (size_t t = 0; t < members[c].size(); ++t) {
-      const int relay = plan.relay_begin +
-                        static_cast<int>(relay_offset[c] + t);
-      plan.network.AddEdge(relay, static_cast<int>(members[c][t]) + 2,
+  int relay = plan.relay_begin;
+  for (const std::vector<size_t>& chain : members) {
+    for (size_t t = 0; t < chain.size(); ++t, ++relay) {
+      plan.network.AddEdge(relay, static_cast<int>(chain[t]) + 2,
                            infinite_capacity);
       ++plan.infinite_edges;
       if (t > 0) {
@@ -99,37 +157,12 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
     }
   }
 
-  // Per-point relay wiring: for every label-0 point, one binary search
-  // per chain. Rows only read the point set, so they shard freely; the
-  // per-shard hit lists concatenate in shard order, keeping the edge
-  // list bit-identical to the serial loop at any thread count (the same
-  // contract as the dense dominance scan in flow_solver.cc).
-  const size_t max_shards = std::max<size_t>(
-      size_t{1}, std::min<size_t>(parallel.Resolve(),
-                                  num_active == 0 ? 1 : num_active));
-  std::vector<std::vector<std::pair<size_t, size_t>>> shard_edges(max_shards);
-  ParallelFor(num_active, parallel,
-              [&](size_t begin, size_t end, size_t shard) {
-                MC_SPAN("par.sparse_relay_wiring");
-                std::vector<std::pair<size_t, size_t>>& edges =
-                    shard_edges[shard];
-                for (size_t k = begin; k < end; ++k) {
-                  if (set.label(active[k]) != 0) continue;
-                  const Point& point = set.point(active[k]);
-                  for (size_t c = 0; c < members.size(); ++c) {
-                    if (members[c].empty()) continue;
-                    const size_t t = HighestDominatedPosition(
-                        set.points(), global_members[c], point);
-                    if (t != kNoDominatedMember) {
-                      edges.emplace_back(k, relay_offset[c] + t);
-                    }
-                  }
-                }
-              });
-  for (const auto& edges : shard_edges) {
-    for (const auto& [k, relay] : edges) {
-      plan.network.AddEdge(static_cast<int>(k) + 2,
-                           plan.relay_begin + static_cast<int>(relay),
+  // Per-point relay wiring, added in the serial (point, chain) order.
+  for (const std::vector<RelayWire>& wires :
+       WireRelays(set.points(), zero_ids, global_members, parallel)) {
+    for (const auto& [q, r] : wires) {
+      plan.network.AddEdge(static_cast<int>(zeros[q]) + 2,
+                           plan.relay_begin + static_cast<int>(r),
                            infinite_capacity);
       ++plan.infinite_edges;
     }

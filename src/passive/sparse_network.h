@@ -15,9 +15,13 @@
 //     order ascending under dominance) and feeds it: r_c[t] -> q_c[t];
 //   * relays chain downward, r_c[t] -> r_c[t-1], so reaching a relay
 //     reaches every label-1 point below it on the chain;
-//   * each label-0 point p gets one edge per chain, p -> r_c[t*], where
-//     t* is the highest t with p >= q_c[t] (binary search -- dominance
-//     along a chain is prefix-closed by transitivity).
+//   * each label-0 point p gets one edge per chain it reaches,
+//     p -> r_c[t*], where t* is the highest t with p >= q_c[t] (binary
+//     search -- dominance along a chain is prefix-closed by
+//     transitivity). A p that does not dominate q_c[0] dominates no
+//     member of chain c, so a d-coordinate test against the chain's
+//     lowest label-1 member skips the search; searches then equal the
+//     wiring edges.
 //
 // All relay-incident edges are infinite. Every dense pair p >= q is then
 // connected by an all-infinite path p -> r_c[t*] -> ... -> r_c[t] -> q,
@@ -25,12 +29,14 @@
 // finite-cut structure -- and with it the min-cut value (Lemmas 7-8/18)
 // and the residual-reachability classifier (Lemma 16) -- is *identical*
 // to the dense network's. docs/sparse_network.md gives the argument in
-// full. Edge count drops from Theta(n^2) to O(n w) for width w.
+// full. Edge count drops from Theta(n^2) to O(n w) for width w, and the
+// wiring costs O(d n w) bottom tests plus O(log n) per wiring edge.
 
 #ifndef MONOCLASS_PASSIVE_SPARSE_NETWORK_H_
 #define MONOCLASS_PASSIVE_SPARSE_NETWORK_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
@@ -78,21 +84,40 @@ inline constexpr size_t kNoDominatedMember = static_cast<size_t>(-1);
 // `members` lists point indices in ascending chain order. Dominance
 // along a chain is prefix-closed (transitivity), so one binary search
 // suffices. This is the relay-targeting rule: a label-0 point wires to
-// the relay of the highest chain member it dominates, both in the batch
-// builder below and in the per-delta rewiring of
-// passive/incremental_solver.h.
+// the relay of the highest chain member it dominates, in WireRelays
+// below and in the per-delta rewiring of passive/incremental_solver.h.
 size_t HighestDominatedPosition(const PointSet& points,
                                 const std::vector<size_t>& members,
                                 const Point& point);
 
+// One wiring edge (q, r): queries[q] -> relay r, where relays number the
+// members of every chain in chain order (chain 0's first, bottom up).
+using RelayWire = std::pair<size_t, size_t>;
+
+// The relay wiring both sparse builders share (BuildSparseChainRelayNetwork
+// and IncrementalPassiveSolver's rebuild). For each query point
+// points[queries[q]] (the label-0 points) and each chain c, in (q, c)
+// order, it yields the wire
+// to the relay of chains[c][HighestDominatedPosition(...)] when that
+// exists. `chains` lists point indices in ascending chain order and may
+// hold empty chains. A query is first tested against each chain's lowest
+// member (d compares, read from one contiguous array); only the chains it
+// passes get the binary search, so the searches -- counted in
+// mc.net.relay_searches -- equal the wires returned. Queries shard across
+// `parallel` workers; the per-shard lists, concatenated in shard order,
+// are the serial (q, c) order at every thread count.
+std::vector<std::vector<RelayWire>> WireRelays(
+    const PointSet& points, const std::vector<size_t>& queries,
+    const std::vector<std::vector<size_t>>& chains,
+    const ParallelOptions& parallel = {});
+
 // Builds the sparse chain-relay network over the points of `set` at the
 // indices in `active` (the Lemma 15 contending subset, in increasing
 // order). Terminal edges carry the point weights; every other edge
-// carries `infinite_capacity`. The per-point relay wiring (the dominant
-// O(n w log n) part) shards across `parallel` workers with per-shard
-// buffers merged in shard order, so the edge list -- and hence the max-
-// flow traversal order and the extracted classifier -- is bit-identical
-// to the serial build at every thread count.
+// carries `infinite_capacity`. The relay wiring (WireRelays) adds its
+// edges in the serial (point, chain) order, so the edge list -- and hence
+// the max-flow traversal order and the extracted classifier -- is
+// bit-identical to the serial build at every thread count.
 SparseNetworkPlan BuildSparseChainRelayNetwork(
     const WeightedPointSet& set, const std::vector<size_t>& active,
     double infinite_capacity, const ParallelOptions& parallel = {});

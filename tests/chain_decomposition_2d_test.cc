@@ -10,7 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "core/antichain.h"
+#include "core/dominance.h"
 #include "data/synthetic.h"
 #include "test_util.h"
 #include "util/random.h"
@@ -120,6 +124,75 @@ TEST(ChainDecomposition2DTest, LargeInstanceIsFast) {
   const auto decomposition = MinimumChainDecomposition2D(points);
   EXPECT_GT(decomposition.NumChains(), 0u);
   EXPECT_EQ(decomposition.TotalPoints(), points.size());
+}
+
+// The patience pass with its tails in a multimap keyed by tail y
+// (upper_bound, then one step back, is the largest tail <= y). The
+// sorted-vector pass must produce these chains exactly.
+ChainDecomposition MultimapReference(const PointSet& points) {
+  ChainDecomposition decomposition;
+  std::multimap<double, size_t> tails;
+  for (const size_t index : LexicographicOrder2D(points.points())) {
+    const double y = points[index][1];
+    auto it = tails.upper_bound(y);
+    if (it == tails.begin()) {
+      tails.emplace(y, decomposition.chains.size());
+      decomposition.chains.push_back({index});
+    } else {
+      --it;
+      const size_t chain = it->second;
+      decomposition.chains[chain].push_back(index);
+      tails.erase(it);
+      tails.emplace(y, chain);
+    }
+  }
+  return decomposition;
+}
+
+void ExpectSameChainsAsMultimap(const PointSet& points) {
+  EXPECT_EQ(MinimumChainDecomposition2D(points).chains,
+            MultimapReference(points).chains);
+}
+
+TEST(ChainDecomposition2DTest, RepeatedYMatchesMultimap) {
+  // Points at an existing tail's y join that chain; equal points and
+  // -0.0 beside 0.0 tie as one value.
+  const PointSet points({Point{0, 2}, Point{1, 0}, Point{2, 1}, Point{2, 1},
+                         Point{3, 0}, Point{3, 2}, Point{4, -0.0},
+                         Point{4, 0.0}, Point{5, 1}});
+  ExpectSameChainsAsMultimap(points);
+  EXPECT_EQ(MinimumChainDecomposition2D(points).NumChains(),
+            DominanceWidth(points));
+}
+
+TEST(ChainDecomposition2DTest, MatchesMultimapOnTiedGridsAndSignedZeros) {
+  // Repeated y, coordinate-equal points, and -0.0 beside 0.0.
+  Rng rng(2030);
+  for (int trial = 0; trial < 200; ++trial) {
+    PointSet points;
+    const size_t n = 1 + rng.UniformInt(50);
+    const size_t side = 1 + rng.UniformInt(5);
+    for (size_t i = 0; i < n; ++i) {
+      const auto coord = [&] {
+        const double c = static_cast<double>(rng.UniformInt(side)) - 1.0;
+        return c == 0.0 && rng.Bernoulli(0.5) ? -0.0 : c;
+      };
+      const double x = coord();
+      points.Add(Point{x, coord()});
+    }
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectSameChainsAsMultimap(points);
+  }
+}
+
+TEST(ChainDecomposition2DTest, MatchesMultimapOnRandomSets) {
+  Rng rng(2031);
+  for (int trial = 0; trial < 40; ++trial) {
+    const auto set =
+        testing_util::RandomLabeledSet(rng, 1 + rng.UniformInt(300), 2);
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    ExpectSameChainsAsMultimap(set.points());
+  }
 }
 
 }  // namespace

@@ -186,6 +186,82 @@ TEST(ErrorsTest, WeightedErrorUsesWeights) {
   EXPECT_DOUBLE_EQ(WeightedError(h, set), 15.0);
 }
 
+// WeightedError's d = 2 staircase must equal the per-generator loop bit
+// for bit: same terms, same order.
+double LoopWeightedError(const MonotoneClassifier& h,
+                         const WeightedPointSet& set) {
+  double error = 0.0;
+  for (size_t i = 0; i < set.size(); ++i) {
+    const Label predicted = h.Classify(set.point(i)) ? 1 : 0;
+    if (predicted != set.label(i)) error += set.weight(i);
+  }
+  return error;
+}
+
+TEST(WeightedErrorStaircaseTest, TiesSignedZerosAndTheBottomGenerator) {
+  WeightedPointSet set;
+  set.Add(Point{1, 1}, 1, 0.1);      // on a generator: 1
+  set.Add(Point{1, 0.5}, 1, 0.2);    // same x, below it: 0
+  set.Add(Point{0.5, 1}, 0, 0.3);    // same y, left of it: 0
+  set.Add(Point{-0.0, 2}, 0, 0.7);   // -0.0 ties the generator at x = 0.0
+  set.Add(Point{3, -0.0}, 0, 1.1);   // -0.0 ties the generator at y = 0.0
+  set.Add(Point{-5, -5}, 1, 1.3);
+  const auto h = MonotoneClassifier::FromGenerators(
+      {Point{1, 1}, Point{0.0, 2}, Point{2, 0.0}}, 2);
+  EXPECT_EQ(WeightedError(h, set), LoopWeightedError(h, set));
+  EXPECT_DOUBLE_EQ(WeightedError(h, set), 0.2 + 0.7 + 1.1 + 1.3);
+
+  const auto everything = MonotoneClassifier::AlwaysOne(2);
+  EXPECT_EQ(WeightedError(everything, set), LoopWeightedError(everything, set));
+  EXPECT_DOUBLE_EQ(WeightedError(everything, set), 0.3 + 0.7 + 1.1);
+  const auto nothing = MonotoneClassifier::AlwaysZero(2);
+  EXPECT_EQ(WeightedError(nothing, set), LoopWeightedError(nothing, set));
+}
+
+TEST(WeightedErrorStaircaseTest, NonMinimalGeneratorInput) {
+  // Dominated generators, duplicates and a -inf generator among finite
+  // ones: the classifier is their upward closure either way.
+  WeightedPointSet set;
+  for (double x = -1; x <= 3; x += 0.5) {
+    for (double y = -1; y <= 3; y += 0.5) {
+      set.Add(Point{x, y}, (x + y > 2) ? 1 : 0, 0.1 + 0.01 * (x + 2 * y));
+    }
+  }
+  for (const std::vector<Point>& generators :
+       {std::vector<Point>{Point{1, 1}, Point{2, 2}, Point{1, 1},
+                           Point{1, 3}, Point{3, 0}},
+        std::vector<Point>{Point{2, 2}, Point{-kInf, -kInf}, Point{0, 0}}}) {
+    const auto h = MonotoneClassifier::FromGenerators(generators, 2);
+    EXPECT_EQ(WeightedError(h, set), LoopWeightedError(h, set));
+  }
+}
+
+TEST(WeightedErrorStaircaseTest, MatchesLoopOnRandomGrids) {
+  Rng rng(307);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto coord = [&rng] {
+      const double c = static_cast<double>(rng.UniformInt(5)) - 2.0;
+      return c == 0.0 && rng.UniformInt(2) == 0 ? -0.0 : c;
+    };
+    WeightedPointSet set;
+    const size_t n = 1 + rng.UniformInt(40);
+    for (size_t i = 0; i < n; ++i) {
+      const double x = coord();
+      set.Add(Point{x, coord()}, static_cast<Label>(rng.UniformInt(2)),
+              rng.UniformDoubleInRange(0.01, 3.0));
+    }
+    std::vector<Point> generators;
+    const size_t g = rng.UniformInt(6);
+    for (size_t i = 0; i < g; ++i) {
+      const double x = coord();
+      generators.push_back(Point{x, coord()});
+    }
+    const auto h = MonotoneClassifier::FromGenerators(generators, 2);
+    EXPECT_EQ(WeightedError(h, set), LoopWeightedError(h, set))
+        << "trial " << trial;
+  }
+}
+
 TEST(MonotoneAssignmentTest, AuditsDominancePairs) {
   const PointSet points({Point{0, 0}, Point{2, 2}, Point{1, 3}});
   EXPECT_TRUE(IsMonotoneAssignment(points, {0, 1, 1}));

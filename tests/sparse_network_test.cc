@@ -13,10 +13,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
+#include "core/chain_decomposition.h"
 #include "data/synthetic.h"
 #include "graph/flow_audit.h"
+#include "obs/obs.h"
 #include "passive/contending.h"
 #include "passive/flow_solver.h"
 #include "test_util.h"
@@ -311,6 +314,193 @@ TEST(SparseNetworkTest, AllDuplicateMultisetSingleLabel) {
     EXPECT_EQ(result.network_relays, 0u);
     EXPECT_EQ(result.assignment, std::vector<Label>(6, label));
   }
+}
+
+// ---------------------------------------------------------------------
+// WireRelays: the shared relay wiring must yield exactly the wires of the
+// unfiltered loop -- one HighestDominatedPosition per (query, chain) --
+// in the same order, at every thread count.
+
+std::vector<RelayWire> UnfilteredWires(
+    const PointSet& points, const std::vector<size_t>& queries,
+    const std::vector<std::vector<size_t>>& chains) {
+  std::vector<RelayWire> wires;
+  for (size_t q = 0; q < queries.size(); ++q) {
+    size_t offset = 0;
+    for (const std::vector<size_t>& chain : chains) {
+      const size_t t =
+          HighestDominatedPosition(points, chain, points[queries[q]]);
+      if (t != kNoDominatedMember) wires.emplace_back(q, offset + t);
+      offset += chain.size();
+    }
+  }
+  return wires;
+}
+
+std::vector<RelayWire> Concatenated(
+    const std::vector<std::vector<RelayWire>>& shards) {
+  std::vector<RelayWire> wires;
+  for (const auto& shard : shards) {
+    wires.insert(wires.end(), shard.begin(), shard.end());
+  }
+  return wires;
+}
+
+// The sparse builder's shape: chains over every point, each keeping only
+// its label-1 members (so some chains may be empty), wired from the
+// label-0 points.
+struct WiringInput {
+  std::vector<size_t> queries;
+  std::vector<std::vector<size_t>> chains;
+};
+
+WiringInput LabelSplit(const LabeledPointSet& set) {
+  WiringInput input;
+  const ChainDecomposition decomposition =
+      ScalableChainDecomposition(set.points(), kSparseExactMatchingLimit);
+  for (const std::vector<size_t>& chain : decomposition.chains) {
+    input.chains.emplace_back();
+    for (const size_t i : chain) {
+      if (set.label(i) == 1) input.chains.back().push_back(i);
+    }
+  }
+  for (size_t i = 0; i < set.size(); ++i) {
+    if (set.label(i) == 0) input.queries.push_back(i);
+  }
+  return input;
+}
+
+void ExpectWiresMatchUnfiltered(const PointSet& points,
+                                const WiringInput& input) {
+  const std::vector<RelayWire> want =
+      UnfilteredWires(points, input.queries, input.chains);
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
+    ParallelOptions parallel;
+    parallel.threads = threads;
+    const std::vector<RelayWire> got = Concatenated(
+        WireRelays(points, input.queries, input.chains, parallel));
+    ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
+    for (size_t e = 0; e < got.size(); ++e) {
+      EXPECT_EQ(got[e], want[e]) << "wire " << e << " threads=" << threads;
+    }
+  }
+}
+
+TEST(WireRelaysTest, MatchesUnfilteredLoopOnRandomSets) {
+  Rng rng(211);
+  for (const size_t d : {1u, 2u, 3u}) {
+    for (int trial = 0; trial < 12; ++trial) {
+      const size_t n = 1 + rng.UniformInt(80);
+      const auto set = testing_util::RandomLabeledSet(rng, n, d);
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " trial=" << trial);
+      ExpectWiresMatchUnfiltered(set.points(), LabelSplit(set));
+    }
+  }
+}
+
+TEST(WireRelaysTest, MatchesUnfilteredLoopOnGridsWithSignedZeros) {
+  // Duplicate coordinates and -0.0 beside 0.0: the bottom test must tie
+  // exactly as DominatesEq does.
+  Rng rng(223);
+  for (const size_t d : {1u, 2u, 3u}) {
+    for (int trial = 0; trial < 40; ++trial) {
+      LabeledPointSet set;
+      const size_t n = 1 + rng.UniformInt(40);
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<double> coordinates;
+        for (size_t j = 0; j < d; ++j) {
+          const double c = static_cast<double>(rng.UniformInt(3)) - 1.0;
+          coordinates.push_back(c == 0.0 && rng.Bernoulli(0.5) ? -0.0 : c);
+        }
+        set.Add(Point(coordinates), rng.Bernoulli(0.5) ? 1 : 0);
+      }
+      SCOPED_TRACE(::testing::Message() << "d=" << d << " trial=" << trial);
+      ExpectWiresMatchUnfiltered(set.points(), LabelSplit(set));
+    }
+  }
+}
+
+TEST(WireRelaysTest, EmptyChainsAndNoQueries) {
+  const PointSet points({Point{0, 0}, Point{1, 1}, Point{2, 0}, Point{3, 3}});
+  // Chains with no member keep their place in the relay numbering.
+  WiringInput input{.queries = {3, 1}, .chains = {{}, {0, 1}, {}, {2}, {}}};
+  ExpectWiresMatchUnfiltered(points, input);
+  EXPECT_EQ(Concatenated(WireRelays(points, input.queries, input.chains)),
+            (std::vector<RelayWire>{{0, 1}, {0, 2}, {1, 1}}));
+  // No queries, or nothing to wire to: no wires at any thread count.
+  ExpectWiresMatchUnfiltered(points, {.queries = {}, .chains = {{0, 1}}});
+  ExpectWiresMatchUnfiltered(points, {.queries = {3}, .chains = {{}, {}}});
+  ExpectWiresMatchUnfiltered(points, {.queries = {3}, .chains = {}});
+  EXPECT_TRUE(Concatenated(WireRelays(points, {}, {{0, 1}})).empty());
+}
+
+TEST(WireRelaysTest, EveryQueryAboveEveryBottomSearchesEveryChain) {
+  // The degenerate case: every query dominates every chain's lowest
+  // member, so no chain is skipped and the searches are queries x chains.
+  constexpr size_t kChains = 6;
+  constexpr size_t kLength = 5;
+  PointSet points;
+  WiringInput input;
+  for (size_t c = 0; c < kChains; ++c) {
+    input.chains.emplace_back();
+    for (size_t t = 0; t < kLength; ++t) {
+      input.chains.back().push_back(points.size());
+      points.Add(Point{static_cast<double>(c + t * kChains),
+                       static_cast<double>(kChains - 1 - c + t * kChains)});
+    }
+  }
+  for (size_t q = 0; q < 20; ++q) {
+    input.queries.push_back(points.size());
+    points.Add(Point{static_cast<double>(kChains + q),
+                     static_cast<double>(kChains + 2 * q)});
+  }
+  ExpectWiresMatchUnfiltered(points, input);
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+  const size_t wires =
+      Concatenated(WireRelays(points, input.queries, input.chains)).size();
+  const uint64_t searches =
+      obs::MetricsRegistry::Global().Snapshot().CounterValue(
+          "mc.net.relay_searches");
+  obs::SetEnabled(false);
+  EXPECT_EQ(wires, input.queries.size() * kChains);
+  EXPECT_EQ(searches, wires);
+}
+
+TEST(WireRelaysTest, SearchesEqualWiringEdgesOnAPlantedInstance) {
+  PlantedOptions options;
+  options.num_points = 2000;
+  options.dimension = 2;
+  options.noise_flips = 20;
+  options.seed = 5;
+  const PlantedInstance instance = GeneratePlanted(options);
+  const auto set = WeightedPointSet::UnitWeights(instance.data);
+  const auto active =
+      ComputeContending(set.points(), set.labels()).contending;
+  size_t zeros = 0;
+  for (const size_t i : active) zeros += set.label(i) == 0 ? 1 : 0;
+
+  obs::SetEnabled(true);
+  obs::MetricsRegistry::Global().ResetAll();
+  const SparseNetworkPlan plan =
+      BuildSparseChainRelayNetwork(set, active, set.TotalWeight() + 1.0);
+  const uint64_t searches =
+      obs::MetricsRegistry::Global().Snapshot().CounterValue(
+          "mc.net.relay_searches");
+  obs::SetEnabled(false);
+
+  // Wiring edges: forward edges from a point vertex into the relays.
+  uint64_t wiring_edges = 0;
+  for (int v = 2; v < plan.relay_begin; ++v) {
+    for (const FlowNetwork::Edge& edge : plan.network.adjacency(v)) {
+      if (edge.capacity > 0.0 && edge.to >= plan.relay_begin) ++wiring_edges;
+    }
+  }
+  EXPECT_GT(wiring_edges, 0u);
+  EXPECT_EQ(searches, wiring_edges);
+  // The bottom test is what keeps the count there: the unfiltered loop
+  // searched every (label-0 point, chain) pair.
+  EXPECT_LT(searches, zeros * plan.num_chains);
 }
 
 }  // namespace
