@@ -217,10 +217,12 @@ bool Run(bool ci) {
   bench::PrintSection("pipeline stats");
   {
     TextTable table({"deltas", "enter-con", "leave-con", "drained-paths",
-                     "retargets", "augments", "rebuilds"});
+                     "retargets", "augments", "maxflow-runs", "cert-visits",
+                     "rebuilds"});
     table.AddRowValues(stats.deltas, stats.enter_contending,
                        stats.leave_contending, stats.drained_paths,
                        stats.retarget_edges, stats.augment_calls,
+                       stats.maxflow_runs, stats.certificate_visits,
                        stats.rebuilds);
     bench::PrintTable(table);
   }

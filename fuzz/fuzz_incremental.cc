@@ -6,10 +6,11 @@
 // Decodes an insert/erase/relabel delta stream (rank-addressed, so every
 // byte mutation is a valid stream) and replays it through
 // IncrementalPassiveSolver, the initial points loaded one Insert at a
-// time or through the bulk-load constructor, cross-checking the warm
-// solution against cold solves on BOTH network builds after every delta
-// and closing with the AuditIncrementalCut proof obligation. A failing
-// stream is ddmin-shrunk and the minimal repro printed before the abort.
+// time or through the bulk-load constructor, cross-checking the
+// repaired flow value and the warm solution against cold solves on BOTH
+// network builds after every delta and closing with the
+// AuditIncrementalCut proof obligation. A failing stream is
+// ddmin-shrunk and the minimal repro printed before the abort.
 
 #include <cstddef>
 #include <cstdint>

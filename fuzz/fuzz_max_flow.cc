@@ -56,11 +56,11 @@ void FuzzOne(const uint8_t* data, size_t size) {
                      " disagrees with reference " + std::to_string(reference));
     }
 
-    // A second Solve on the already-saturated network must add nothing,
-    // and Augment (the incremental repair entry point) likewise.
-    const double extra = solver->Augment(network, spec.source, spec.sink);
+    // A second Solve on the already-saturated network must add nothing.
+    const double extra = solver->Solve(network, spec.source, spec.sink);
     FuzzExpect(std::abs(extra) <= 1e-9, context,
-               "Augment on a maximum flow added " + std::to_string(extra));
+               "a second Solve on a maximum flow added " +
+                   std::to_string(extra));
   }
 }
 

@@ -21,6 +21,8 @@
 #ifndef MONOCLASS_FUZZ_FUZZ_UTIL_H_
 #define MONOCLASS_FUZZ_FUZZ_UTIL_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -316,10 +318,10 @@ inline std::string DescribeIncrementalScenario(
 }
 
 // Replays the scenario through an IncrementalPassiveSolver,
-// cross-checking the warm solution against cold solves on BOTH network
-// builds after every delta, and closing with the full
-// AuditIncrementalCut proof. Returns "" on success, else a description
-// of the first divergence.
+// cross-checking the repaired flow value and the warm solution against
+// cold solves on BOTH network builds after every delta, and closing
+// with the full AuditIncrementalCut proof. Returns "" on success, else a
+// description of the first divergence.
 inline std::string ReplayIncrementalScenario(
     const IncrementalScenario& scenario) {
   IncrementalSolveOptions options;
@@ -342,6 +344,27 @@ inline std::string ReplayIncrementalScenario(
   }
 
   const auto check = [&solver](const std::string& where) -> std::string {
+    const WeightedPointSet snapshot = solver.Snapshot();
+    std::vector<PassiveSolveResult> colds;  // dense, then sparse
+    if (solver.LiveSize() > 0) {
+      for (const PassiveNetworkBuild build :
+           {PassiveNetworkBuild::kDense,
+            PassiveNetworkBuild::kSparseChainRelay}) {
+        PassiveSolveOptions cold_options;
+        cold_options.network = build;
+        colds.push_back(SolvePassiveWeighted(snapshot, cold_options));
+      }
+    }
+    // The repaired flow value is read before Solve(): a repair that
+    // wrongly skipped its max flow shows here, at the delta that caused
+    // it, instead of aborting in the extraction's Lemma 17 check.
+    const double cold_flow = colds.empty() ? 0.0 : colds.front().flow_value;
+    if (std::abs(solver.FlowValue() - cold_flow) >
+        1e-6 * std::max(1.0, std::abs(cold_flow))) {
+      return where + ": repaired flow value " +
+             std::to_string(solver.FlowValue()) + " != cold flow value " +
+             std::to_string(cold_flow);
+    }
     const PassiveSolveResult& warm = solver.Solve();
     if (solver.LiveSize() == 0) {
       if (warm.optimal_weighted_error != 0.0 || !warm.assignment.empty()) {
@@ -349,16 +372,9 @@ inline std::string ReplayIncrementalScenario(
       }
       return "";
     }
-    const WeightedPointSet snapshot = solver.Snapshot();
-    for (const PassiveNetworkBuild build :
-         {PassiveNetworkBuild::kDense,
-          PassiveNetworkBuild::kSparseChainRelay}) {
-      PassiveSolveOptions cold_options;
-      cold_options.network = build;
-      const PassiveSolveResult cold =
-          SolvePassiveWeighted(snapshot, cold_options);
-      const std::string label =
-          build == PassiveNetworkBuild::kDense ? "dense" : "sparse";
+    for (size_t k = 0; k < colds.size(); ++k) {
+      const PassiveSolveResult& cold = colds[k];
+      const std::string label = k == 0 ? "dense" : "sparse";
       if (warm.assignment != cold.assignment) {
         return where + ": assignment diverged from cold " + label + " solve";
       }

@@ -23,6 +23,17 @@ class DinicSolver final : public MaxFlowSolver {
   double Solve(FlowNetwork& network, int source, int sink) override;
   std::string Name() const override { return "dinic"; }
 
+  // Whether the last Solve's last level graph reached `v`. Solve stops at
+  // the first level graph that misses the sink, so these are the vertices
+  // residual-reachable from the source under the maximum flow: the
+  // ResidualReachable set, a minimum cut's source side, read without a
+  // further traversal. Valid until the next Solve; `v` must be a vertex
+  // of the network that Solve ran on.
+  bool Reached(int v) const {
+    MC_DCHECK_LT(static_cast<size_t>(v), level_.size());
+    return level_[static_cast<size_t>(v)] >= 0;
+  }
+
  private:
   // Rebuilds the BFS level graph; returns false when the sink became
   // unreachable (i.e., the flow is maximum).

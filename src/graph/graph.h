@@ -55,6 +55,7 @@ class FlowNetwork {
     const size_t forward_index = from_list.size();
     from_list.push_back(Edge{v, to_list.size(), capacity, capacity});
     to_list.push_back(Edge{u, forward_index, 0.0, 0.0});
+    num_stored_edges_ += 2;
     return forward_index;
   }
 
@@ -87,12 +88,9 @@ class FlowNetwork {
 
   int NumVertices() const { return static_cast<int>(adjacency_.size()); }
 
-  // Total number of stored edges, counting reverse twins.
-  size_t NumStoredEdges() const {
-    size_t total = 0;
-    for (const auto& list : adjacency_) total += list.size();
-    return total;
-  }
+  // Total number of stored edges, counting reverse twins (deactivated
+  // entries included). O(1): AddEdge keeps the count.
+  size_t NumStoredEdges() const { return num_stored_edges_; }
 
   std::vector<Edge>& adjacency(int v) {
     MC_DCHECK(IsValidVertex(v));
@@ -121,6 +119,7 @@ class FlowNetwork {
 
  private:
   std::vector<std::vector<Edge>> adjacency_;
+  size_t num_stored_edges_ = 0;
 };
 
 // Unweighted bipartite graph for the matching algorithms: left vertices

@@ -25,19 +25,11 @@ class MaxFlowSolver {
 
   // Computes a maximum flow from `source` to `sink` and returns its value.
   // Residual capacities in `network` reflect the flow afterwards.
+  // Every bundled backend works purely on residual capacities, so on a
+  // network that already carries a feasible flow Solve pushes only the
+  // augmenting paths that remain and returns the *added* value
+  // (IncrementalPassiveSolver repairs its warm network this way).
   virtual double Solve(FlowNetwork& network, int source, int sink) = 0;
-
-  // Residual-repair entry point: pushes additional flow along whatever
-  // augmenting paths remain in a network that already carries a feasible
-  // (not necessarily maximum) flow, and returns only the *added* value.
-  // Every bundled backend works purely on residual capacities, so the
-  // default simply re-runs Solve -- on a warm network that augments the
-  // few repaired paths a delta opened instead of recomputing from zero.
-  // This is what IncrementalPassiveSolver calls after patching the
-  // dominance neighborhood of an Insert/Erase/Relabel delta.
-  virtual double Augment(FlowNetwork& network, int source, int sink) {
-    return Solve(network, source, sink);
-  }
 
   // Human-readable algorithm name for benchmark tables.
   virtual std::string Name() const = 0;

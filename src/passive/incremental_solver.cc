@@ -25,7 +25,7 @@ namespace monoclass {
 
 IncrementalPassiveSolver::IncrementalPassiveSolver(
     IncrementalSolveOptions options)
-    : options_(options), solver_(CreateMaxFlowSolver(options_.algorithm)) {}
+    : options_(options) {}
 
 IncrementalPassiveSolver::IncrementalPassiveSolver(
     const WeightedPointSet& initial, IncrementalSolveOptions options)
@@ -373,13 +373,24 @@ void IncrementalPassiveSolver::RemoveChainMember(size_t id) {
 size_t IncrementalPassiveSolver::AddFiniteEdge(int u, int v, double capacity) {
   ++active_finite_edges_;
   network_dirty_ = true;
-  return network_.AddEdge(u, v, capacity);
+  const size_t edge = network_.AddEdge(u, v, capacity);
+  NoteRaised(u, edge);
+  return edge;
 }
 
 size_t IncrementalPassiveSolver::AddInfiniteEdge(int u, int v) {
   ++active_infinite_edges_;
   network_dirty_ = true;
-  return network_.AddEdge(u, v, infinity_);
+  const size_t edge = network_.AddEdge(u, v, infinity_);
+  NoteRaised(u, edge);
+  return edge;
+}
+
+void IncrementalPassiveSolver::NoteRaised(int u, size_t edge_index) {
+  if (InCertificate(u) &&
+      !InCertificate(network_.adjacency(u)[edge_index].to)) {
+    raised_.emplace_back(u, edge_index);
+  }
 }
 
 void IncrementalPassiveSolver::RemoveEdge(int u, size_t edge_index) {
@@ -454,6 +465,7 @@ void IncrementalPassiveSolver::DrainEdge(int u, size_t edge_index) {
           network_.adjacency(forward.to)[forward.rev];
       twin.residual -= amount;
       if (twin.residual < 0.0) twin.residual = 0.0;  // float dust
+      NoteRaised(v, e);
     }
     flow_value_ -= amount;
     ++stats_.drained_paths;
@@ -480,13 +492,92 @@ void IncrementalPassiveSolver::FinishDelta() {
   if (network_dirty_) {
     MC_SPAN("inc/augment");
     MC_LATENCY("mc.lat.inc_augment");
-    flow_value_ += solver_->Augment(network_, kSource, kSink);
+    // A closed certificate proves the flow maximum, and Dinic would find
+    // no level graph reaching the sink: skipping it changes nothing.
+    if (GrowCertificate()) {
+      flow_value_ += dinic_.Solve(network_, kSource, kSink);
+      TakeCertificate();
+      ++stats_.maxflow_runs;
+      MC_COUNTER("mc.inc.maxflow_runs", 1);
+    }
     network_dirty_ = false;
     ++stats_.augment_calls;
     MC_COUNTER("mc.inc.augment_calls", 1);
     MC_AUDIT(AuditFlowConservation(network_, kSource, kSink, flow_value_,
                                    {.infinity_threshold = infinity_}));
+    MC_AUDIT(AuditCertificate());
   }
+}
+
+bool IncrementalPassiveSolver::GrowCertificate() {
+  certificate_.resize(static_cast<size_t>(network_.NumVertices()), 0);
+  // Marks `v` and stacks it for a scan; true when `v` is the sink.
+  const auto add = [this](int v) {
+    certificate_[static_cast<size_t>(v)] = 1;
+    growth_stack_.push_back(v);
+    return v == kSink;
+  };
+  bool reached_sink = false;
+  uint64_t visits = 0;
+  for (const auto& [u, e] : raised_) {
+    if (reached_sink) break;
+    const FlowNetwork::Edge& edge = network_.adjacency(u)[e];
+    if (edge.residual <= kFlowEps ||
+        certificate_[static_cast<size_t>(edge.to)] != 0) {
+      continue;
+    }
+    reached_sink = add(edge.to);
+    while (!reached_sink && !growth_stack_.empty()) {
+      const int x = growth_stack_.back();
+      growth_stack_.pop_back();
+      ++visits;
+      for (const FlowNetwork::Edge& out : network_.adjacency(x)) {
+        if (out.residual > kFlowEps &&
+            certificate_[static_cast<size_t>(out.to)] == 0 &&
+            add(out.to)) {
+          reached_sink = true;
+          break;
+        }
+      }
+    }
+  }
+  growth_stack_.clear();
+  raised_.clear();
+  stats_.certificate_visits += visits;
+  MC_COUNTER("mc.inc.certificate_visits", visits);
+  return reached_sink;
+}
+
+void IncrementalPassiveSolver::TakeCertificate() {
+  const size_t n = static_cast<size_t>(network_.NumVertices());
+  certificate_.resize(n);
+  for (size_t v = 0; v < n; ++v) {
+    certificate_[v] = dinic_.Reached(static_cast<int>(v)) ? 1 : 0;
+  }
+}
+
+AuditResult IncrementalPassiveSolver::AuditCertificate() const {
+  if (!InCertificate(kSource)) {
+    return AuditResult::Fail("max-flow certificate does not hold the source");
+  }
+  if (InCertificate(kSink)) {
+    return AuditResult::Fail("max-flow certificate holds the sink");
+  }
+  for (int u = 0; u < network_.NumVertices(); ++u) {
+    if (!InCertificate(u)) continue;
+    const std::vector<FlowNetwork::Edge>& adjacency = network_.adjacency(u);
+    for (size_t e = 0; e < adjacency.size(); ++e) {
+      if (adjacency[e].residual > kFlowEps &&
+          !InCertificate(adjacency[e].to)) {
+        std::ostringstream why;
+        why << "max-flow certificate is open: edge " << e << " of vertex "
+            << u << " leaves it towards " << adjacency[e].to
+            << " with residual " << adjacency[e].residual;
+        return AuditResult::Fail(why.str());
+      }
+    }
+  }
+  return AuditResult::Ok();
 }
 
 void IncrementalPassiveSolver::InitConflictCounts() {
@@ -608,6 +699,10 @@ void IncrementalPassiveSolver::Rebuild() {
   MC_AUDIT(AuditConflictCounts());
   pending_rebuild_ = false;
   network_dirty_ = false;
+  // An empty certificate makes NoteRaised record nothing while the new
+  // network is built; the cold solve below provides the next one.
+  certificate_.clear();
+  raised_.clear();
   dead_edge_entries_ = 0;
   active_finite_edges_ = 0;
   active_infinite_edges_ = 0;
@@ -699,12 +794,14 @@ void IncrementalPassiveSolver::Rebuild() {
 
   {
     MC_SPAN("inc/rebuild_solve");
-    flow_value_ = solver_->Solve(network_, kSource, kSink);
+    flow_value_ = dinic_.Solve(network_, kSource, kSink);
+    TakeCertificate();
   }
   network_dirty_ = false;
   result_dirty_ = true;
   MC_AUDIT(AuditFlowConservation(network_, kSource, kSink, flow_value_,
                                  {.infinity_threshold = infinity_}));
+  MC_AUDIT(AuditCertificate());
 }
 
 const PassiveSolveResult& IncrementalPassiveSolver::Solve() {
@@ -766,7 +863,8 @@ AuditResult IncrementalPassiveSolver::AuditIncrementalCut() {
 
   // (1) The repaired flow is a genuine maximum flow and its residual cut
   // a genuine minimum cut of the patched network (Lemmas 7/8/18), with
-  // relay purity over the interleaved relay layout.
+  // relay purity over the interleaved relay layout; and the certificate
+  // the next repair starts from is closed.
   std::vector<bool> relays(static_cast<size_t>(network_.NumVertices()),
                            false);
   for (const PointRecord& record : records_) {
@@ -780,15 +878,15 @@ AuditResult IncrementalPassiveSolver::AuditIncrementalCut() {
   const AuditResult cut =
       AuditMinCut(network_, kSource, kSink, flow_value_, cut_options);
   if (!cut.ok) return cut;
+  const AuditResult certificate = AuditCertificate();
+  if (!certificate.ok) return certificate;
 
   // (2) The warm result is bit-identical to a cold solve on the same
   // snapshot: same assignment, same weighted error, same classifier on
   // the snapshot's points. Only the raw flow value gets a float
   // tolerance (it is a running sum on the warm side).
   const WeightedPointSet snapshot = Snapshot();
-  PassiveSolveOptions cold_options;
-  cold_options.algorithm = options_.algorithm;
-  const PassiveSolveResult cold = SolvePassiveWeighted(snapshot, cold_options);
+  const PassiveSolveResult cold = SolvePassiveWeighted(snapshot);
   if (cold.assignment != warm.assignment) {
     for (size_t k = 0; k < cold.assignment.size(); ++k) {
       if (cold.assignment[k] != warm.assignment[k]) {

@@ -23,9 +23,13 @@
 //     point, patched edge-by-edge -- a delta rewires only the touched
 //     chain's spine and the label-0 points whose relay target changed;
 //   * the flow: edges to be removed are drained path-by-path (DrainEdge
-//     cancels only the flow actually crossing the edge), then one
-//     MaxFlowSolver::Augment call re-augments whatever paths the patch
-//     opened. The flow is maximum again after every delta.
+//     cancels only the flow actually crossing the edge). The last
+//     repair's source side is kept as a max-flow certificate: a vertex
+//     set holding the source, not the sink, with no residual edge
+//     leaving it. A delta records the edges whose residual it raised;
+//     the repair grows the set across them and runs Dinic on the warm
+//     network only when the growth reaches the sink, i.e. only when the
+//     cut can move. The flow is maximum again after every delta.
 //
 // The repair-equals-cold-solve invariant (docs/incremental.md): for any
 // maximum flow of any valid chain-relay network over the current
@@ -46,13 +50,13 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
+#include "graph/dinic.h"
 #include "graph/graph.h"
-#include "graph/max_flow.h"
 #include "passive/flow_solver.h"
 #include "util/audit.h"
 #include "util/concurrency.h"
@@ -60,8 +64,6 @@
 namespace monoclass {
 
 struct IncrementalSolveOptions {
-  // Which backend repairs the flow (Solve on rebuilds, Augment per delta).
-  MaxFlowAlgorithm algorithm = MaxFlowAlgorithm::kDinic;
   // Parallelism for the O(n) conflict scans and the rebuild wiring; the
   // same shard-merge determinism contract as PassiveSolveOptions.
   ParallelOptions parallel;
@@ -85,7 +87,12 @@ struct IncrementalStats {
   uint64_t drained_paths = 0;
   uint64_t deactivated_edges = 0;
   uint64_t retarget_edges = 0;
+  // Repairs attempted (deltas that patched the network) and, of those,
+  // the ones whose certificate growth reached the sink and ran Dinic.
   uint64_t augment_calls = 0;
+  uint64_t maxflow_runs = 0;
+  // Vertices the certificate growth added, over all repairs.
+  uint64_t certificate_visits = 0;
   uint64_t rebuilds = 0;
   uint64_t audits = 0;
 };
@@ -198,6 +205,11 @@ class IncrementalPassiveSolver {
 
   size_t AddFiniteEdge(int u, int v, double capacity);
   size_t AddInfiniteEdge(int u, int v);
+  // Records adjacency(u)[edge_index], whose residual just rose, for the
+  // next repair -- if it leaves the certificate. Only such an edge can
+  // open it: membership is fixed until the repair, and a vertex the
+  // growth adds has all its edges scanned.
+  void NoteRaised(int u, size_t edge_index);
   // Drains the edge's flow path-by-path, deactivates it and updates the
   // dead-edge accounting.
   void RemoveEdge(int u, size_t edge_index);
@@ -208,6 +220,21 @@ class IncrementalPassiveSolver {
   void DrainEdge(int u, size_t edge_index);
 
   void FinishDelta();
+  // Grows the certificate through residual edges from the recorded
+  // raised edges and clears the record. Returns true when the growth
+  // reaches the sink (an augmenting path may exist; the certificate is
+  // then void until TakeCertificate), false when the grown set is
+  // closed again and the flow is still maximum.
+  bool GrowCertificate();
+  // Takes the certificate from what the last Dinic level graph reached.
+  void TakeCertificate();
+  bool InCertificate(int v) const {
+    return static_cast<size_t>(v) < certificate_.size() &&
+           certificate_[static_cast<size_t>(v)] != 0;
+  }
+  // The certificate holds the source, not the sink, and no residual
+  // edge leaves it.
+  AuditResult AuditCertificate() const;
   bool NeedsRebuild() const;
   // Compaction / cold start: re-derives chains, network and flow from
   // the live records (conflict counts are maintained incrementally and
@@ -220,7 +247,7 @@ class IncrementalPassiveSolver {
   AuditResult AuditConflictCounts() const;
 
   IncrementalSolveOptions options_;
-  std::unique_ptr<MaxFlowSolver> solver_;
+  DinicSolver dinic_;
 
   // Append-only point storage; id == index. Labels/weights/liveness live
   // in records_ (points of erased ids stay, dead).
@@ -241,8 +268,20 @@ class IncrementalPassiveSolver {
   size_t active_finite_edges_ = 0;
   size_t active_infinite_edges_ = 0;
   size_t dead_edge_entries_ = 0;
-  bool network_dirty_ = false;   // patch since the last Augment
+  bool network_dirty_ = false;   // patch since the last repair
   bool pending_rebuild_ = false; // infinity_ headroom exhausted
+
+  // Max-flow certificate: certificate_[v] != 0 marks a vertex set that
+  // holds the source, not the sink, and has no residual edge leaving
+  // it, so no augmenting path exists (max-flow/min-cut duality).
+  // Vertices past its end are outside. It may hold stale members that
+  // residual decreases cut off; they cost at most a Dinic run that adds
+  // nothing. The empty network's certificate is {source}.
+  std::vector<uint8_t> certificate_ = {1, 0};
+  // Raised edges leaving the certificate since the last repair, as
+  // (tail, edge index); and the growth's DFS stack.
+  std::vector<std::pair<int, size_t>> raised_;
+  std::vector<int> growth_stack_;
 
   bool result_dirty_ = true;
   std::optional<PassiveSolveResult> result_;

@@ -27,6 +27,9 @@ struct IncrementalSolverTestPeer {
   static double& flow_value(IncrementalPassiveSolver& solver) {
     return solver.flow_value_;
   }
+  static std::vector<uint8_t>& certificate(IncrementalPassiveSolver& solver) {
+    return solver.certificate_;
+  }
 };
 
 namespace {
@@ -193,6 +196,27 @@ TEST(AuditIncrementalFailure, FiresOnCorruptedNetworkResidual) {
   network.adjacency(0)[0].residual =
       network.adjacency(0)[0].capacity + 1.0;
   EXPECT_FALSE(solver.AuditIncrementalCut().ok);
+}
+
+// The repair trusts the kept source side to prove the flow maximum; the
+// audit must reject one that lost the source, holds the sink, or has a
+// residual edge leaving it (the label-0 point's source edge keeps spare
+// capacity, so a certificate of the source alone is open).
+TEST(AuditIncrementalFailure, FiresOnCorruptedCertificate) {
+  const auto corruptions = {
+      +[](std::vector<uint8_t>& certificate) { certificate[0] = 0; },
+      +[](std::vector<uint8_t>& certificate) { certificate[1] = 1; },
+      +[](std::vector<uint8_t>& certificate) { certificate = {1, 0}; },
+  };
+  for (const auto corrupt : corruptions) {
+    IncrementalPassiveSolver solver = ConflictedSolver();
+    solver.Solve();
+    corrupt(IncrementalSolverTestPeer::certificate(solver));
+    const AuditResult result = solver.AuditIncrementalCut();
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.failure.find("certificate"), std::string::npos)
+        << result.failure;
+  }
 }
 
 // ---------------------------------------------------------------------

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 #include "core/dataset.h"
@@ -22,11 +24,19 @@
 
 namespace monoclass {
 
-// Reads the maintained per-point conflict counts (white-box, as in
-// audit_failure_test).
+// Reads the maintained per-point conflict counts and the flow on a
+// point's terminal edge (white-box, as in audit_failure_test).
 struct IncrementalSolverTestPeer {
   static size_t conflicts(const IncrementalPassiveSolver& solver, size_t id) {
     return solver.records_[id].conflicts;
+  }
+  static double terminal_flow(const IncrementalPassiveSolver& solver,
+                              size_t id) {
+    const auto& record = solver.records_[id];
+    const int tail =
+        record.label == 0 ? IncrementalPassiveSolver::kSource : record.vertex;
+    return FlowNetwork::FlowOn(
+        solver.network_.adjacency(tail)[record.terminal_edge]);
   }
 };
 
@@ -137,6 +147,8 @@ TEST(IncrementalSolverTest, DeterministicAcrossThreadCounts) {
   // checkpoint regardless of thread count (the determinism contract:
   // sharded scans merge in shard order).
   std::vector<std::vector<Label>> reference;
+  std::vector<uint64_t> reference_flow_bits;
+  uint64_t reference_maxflow_runs = 0;
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
     Rng rng(4242);  // same stream for every thread count
     WeightedPointSet initial;
@@ -148,6 +160,7 @@ TEST(IncrementalSolverTest, DeterministicAcrossThreadCounts) {
     options.parallel.threads = threads;
     IncrementalPassiveSolver solver(initial, options);
     std::vector<std::vector<Label>> checkpoints;
+    std::vector<uint64_t> flow_bits;
     for (int step = 0; step < 40; ++step) {
       const std::vector<size_t> live = solver.LiveIds();
       const uint64_t op = rng.UniformInt(3);
@@ -160,12 +173,18 @@ TEST(IncrementalSolverTest, DeterministicAcrossThreadCounts) {
         solver.Relabel(live[rng.UniformInt(live.size())],
                        rng.Bernoulli(0.5) ? 1 : 0);
       }
+      flow_bits.push_back(std::bit_cast<uint64_t>(solver.FlowValue()));
       checkpoints.push_back(solver.Solve().assignment);
     }
     if (reference.empty()) {
       reference = checkpoints;
+      reference_flow_bits = flow_bits;
+      reference_maxflow_runs = solver.stats().maxflow_runs;
     } else {
       EXPECT_EQ(checkpoints, reference) << "threads=" << threads;
+      EXPECT_EQ(flow_bits, reference_flow_bits) << "threads=" << threads;
+      EXPECT_EQ(solver.stats().maxflow_runs, reference_maxflow_runs)
+          << "threads=" << threads;
     }
   }
 }
@@ -296,6 +315,73 @@ TEST(IncrementalSolverTest, StatsAndDiagnosticsTrackDeltas) {
   EXPECT_EQ(solver.NumRelays(),
             solver.Solve().network_relays);
   ExpectMatchesCold(solver, "after stats stream");
+}
+
+// One label-0 point z above a chain of two label-1 points a <= b, unit
+// weights: z's relay edge targets b, and the bulk load's cold solve
+// routes z's unit through b, leaving a idle.
+constexpr size_t kIdleA = 0;
+constexpr size_t kCarrierB = 1;
+IncrementalPassiveSolver ChainUnderOnePoint() {
+  WeightedPointSet initial;
+  initial.Add(Point{0.0, 0.0}, 1, 1.0);  // a
+  initial.Add(Point{0.5, 0.5}, 1, 1.0);  // b
+  initial.Add(Point{1.0, 1.0}, 0, 1.0);  // z
+  return IncrementalPassiveSolver(initial);
+}
+
+// Erasing the flow-carrying b drains z's path, which frees z's saturated
+// source edge; the unit must be rerouted to a through z's retargeted
+// relay edge. Only the drained source edge leaves the certificate, so a
+// repair that ignored drained edges would keep a flow of 0.
+TEST(IncrementalSolverTest, RepairReroutesTheUnitADrainFrees) {
+  IncrementalPassiveSolver solver = ChainUnderOnePoint();
+  ASSERT_EQ(IncrementalSolverTestPeer::terminal_flow(solver, kCarrierB), 1.0);
+  ASSERT_EQ(IncrementalSolverTestPeer::terminal_flow(solver, kIdleA), 0.0);
+  const IncrementalStats before = solver.stats();
+  solver.Erase(kCarrierB);
+  EXPECT_EQ(solver.stats().drained_paths, before.drained_paths + 1);
+  EXPECT_EQ(solver.stats().augment_calls, before.augment_calls + 1);
+  EXPECT_EQ(solver.stats().maxflow_runs, before.maxflow_runs + 1);
+  EXPECT_EQ(solver.FlowValue(), 1.0);
+  EXPECT_EQ(IncrementalSolverTestPeer::terminal_flow(solver, kIdleA), 1.0);
+  ExpectMatchesCold(solver, "after erasing the flow-carrying point");
+  const AuditResult audit = solver.AuditIncrementalCut();
+  EXPECT_TRUE(audit.ok) << audit.failure;
+}
+
+// A repair runs Dinic only when the certificate's growth reaches the
+// sink: erasing a point no flow crosses, or adding a label-0 point whose
+// only partner is saturated, leaves the cut where it is; a label-1 point
+// under a label-0 point with spare source capacity moves it.
+TEST(IncrementalSolverTest, RepairRunsMaxFlowOnlyWhenTheCutCanMove) {
+  IncrementalPassiveSolver solver = ChainUnderOnePoint();
+  ASSERT_EQ(IncrementalSolverTestPeer::terminal_flow(solver, kIdleA), 0.0);
+  const auto expect_repair = [&solver](const IncrementalStats& before,
+                                       uint64_t maxflow_runs, double flow,
+                                       const std::string& context) {
+    EXPECT_EQ(solver.stats().augment_calls, before.augment_calls + 1)
+        << context;
+    EXPECT_EQ(solver.stats().maxflow_runs, before.maxflow_runs + maxflow_runs)
+        << context;
+    EXPECT_EQ(solver.FlowValue(), flow) << context;
+    ExpectMatchesCold(solver, context);
+  };
+
+  IncrementalStats before = solver.stats();
+  solver.Erase(kIdleA);  // contending (z dominates it) but idle
+  expect_repair(before, 0, 1.0, "erase the idle point");
+
+  before = solver.stats();
+  solver.Insert(Point{2.0, 2.0}, 0, 3.0);  // w: dominates b only
+  expect_repair(before, 0, 1.0, "insert a label-0 point over a saturated one");
+  EXPECT_GT(solver.stats().certificate_visits, before.certificate_visits);
+
+  before = solver.stats();
+  solver.Insert(Point{1.5, 1.5}, 1, 1.0);  // under w only
+  expect_repair(before, 1, 2.0, "insert a label-1 point under spare capacity");
+  const AuditResult audit = solver.AuditIncrementalCut();
+  EXPECT_TRUE(audit.ok) << audit.failure;
 }
 
 // The bulk load counts conflicts with a sweep at d = 2 and a pairwise

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/dinic.h"
 #include "test_util.h"
 #include "util/random.h"
 
@@ -302,6 +303,41 @@ TEST(ResidualReachableTest, ReachesEverythingBeforeSolving) {
   EXPECT_TRUE(reachable[0]);
   EXPECT_TRUE(reachable[1]);
   EXPECT_TRUE(reachable[2]);
+}
+
+// What Dinic's last level graph reached is the residual-reachable set,
+// also on a warm network that a second Solve leaves unchanged.
+TEST(DinicReachedTest, EqualsResidualReachableAfterSolve) {
+  Rng rng(0x5eedu);
+  DinicSolver dinic;
+  for (int trial = 0; trial < 40; ++trial) {
+    const FlowInstance instance = RandomFlowInstance(rng, 9, 26);
+    FlowNetwork network = instance.Build();
+    for (int pass = 0; pass < 2; ++pass) {
+      dinic.Solve(network, instance.source, instance.sink);
+      const std::vector<bool> reachable =
+          ResidualReachable(network, instance.source);
+      for (int v = 0; v < network.NumVertices(); ++v) {
+        EXPECT_EQ(dinic.Reached(v), reachable[static_cast<size_t>(v)])
+            << "trial " << trial << ", pass " << pass << ", vertex " << v;
+      }
+    }
+  }
+}
+
+TEST(FlowNetworkTest, NumStoredEdgesCountsEveryEntry) {
+  Rng rng(0xed9eu);
+  const FlowInstance instance = RandomFlowInstance(rng, 9, 26);
+  FlowNetwork network = instance.Build();
+  const int extra = network.AddVertex();
+  network.AddEdge(extra, instance.sink, 1.0);
+  // A deactivated edge stays stored, inert.
+  network.DeactivateEdge(extra, network.AddEdge(extra, instance.source, 2.0));
+  size_t stored = 0;
+  for (int v = 0; v < network.NumVertices(); ++v) {
+    stored += network.adjacency(v).size();
+  }
+  EXPECT_EQ(network.NumStoredEdges(), stored);
 }
 
 }  // namespace
