@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -35,11 +36,9 @@ IncrementalPassiveSolver::IncrementalPassiveSolver(
   for (size_t i = 0; i < initial.size(); ++i) {
     MC_CHECK_GT(initial.weight(i), 0.0);
     points_.Add(initial.point(i));
-    PointRecord record;
-    record.label = initial.label(i);
-    record.weight = initial.weight(i);
-    record.live = true;
-    records_.push_back(std::move(record));
+    records_.push_back(PointRecord{.label = initial.label(i),
+                                   .weight = initial.weight(i),
+                                   .live = true});
     total_weight_ += initial.weight(i);
   }
   live_count_ = initial.size();
@@ -117,26 +116,12 @@ size_t IncrementalPassiveSolver::Insert(const Point& point, Label label,
   MC_CHECK_GT(weight, 0.0);
   const size_t id = records_.size();
   points_.Add(point);
-  PointRecord record;
-  record.label = label;
-  record.weight = weight;
-  record.live = true;
-  records_.push_back(std::move(record));
+  records_.push_back(PointRecord{.label = label, .weight = weight,
+                                 .live = true});
   ++live_count_;
   total_weight_ += weight;
   if (total_weight_ + 1.0 > infinity_) pending_rebuild_ = true;
-
-  const std::vector<size_t> partners = ConflictPartners(id);
-  std::vector<size_t> enters;
-  for (const size_t j : partners) {
-    if (records_[j].conflicts++ == 0) enters.push_back(j);
-  }
-  records_[id].conflicts = partners.size();
-  if (!partners.empty()) enters.push_back(id);  // id is the largest, so
-                                                // `enters` stays ascending
-  if (!pending_rebuild_) {
-    for (const size_t j : enters) EnterContending(j);
-  }
+  RaiseConflicts(id);
   ++stats_.inserts;
   MC_COUNTER("mc.inc.inserts", 1);
   FinishDelta();
@@ -147,17 +132,8 @@ void IncrementalPassiveSolver::Erase(size_t id) {
   MC_SPAN("inc/erase");
   MC_LATENCY("mc.lat.inc_delta");
   MC_CHECK(IsLive(id));
-  const std::vector<size_t> partners = ConflictPartners(id);
-  std::vector<size_t> leaves;
-  for (const size_t j : partners) {
-    MC_DCHECK_GT(records_[j].conflicts, 0u);
-    if (--records_[j].conflicts == 0) leaves.push_back(j);
-  }
-  if (records_[id].contending) leaves.push_back(id);
-  std::sort(leaves.begin(), leaves.end());
-  for (const size_t j : leaves) LeaveContending(j);
+  DropConflicts(id);
   records_[id].live = false;
-  records_[id].conflicts = 0;
   --live_count_;
   total_weight_ -= records_[id].weight;
   ++stats_.erases;
@@ -171,37 +147,40 @@ void IncrementalPassiveSolver::Relabel(size_t id, Label label) {
   if (records_[id].label == label) return;
   MC_SPAN("inc/relabel");
   MC_LATENCY("mc.lat.inc_delta");
-  // Tear down the old-label conflicts first (the point leaves as its old
-  // self), flip the label, then bring up the new-label conflicts.
-  {
-    const std::vector<size_t> partners = ConflictPartners(id);
-    std::vector<size_t> leaves;
-    for (const size_t j : partners) {
-      MC_DCHECK_GT(records_[j].conflicts, 0u);
-      if (--records_[j].conflicts == 0) leaves.push_back(j);
-    }
-    if (records_[id].contending) leaves.push_back(id);
-    std::sort(leaves.begin(), leaves.end());
-    for (const size_t j : leaves) LeaveContending(j);
-  }
+  // The point leaves as its old self and comes back with the new label.
+  DropConflicts(id);
   records_[id].label = label;
-  records_[id].conflicts = 0;
-  {
-    const std::vector<size_t> partners = ConflictPartners(id);
-    std::vector<size_t> enters;
-    for (const size_t j : partners) {
-      if (records_[j].conflicts++ == 0) enters.push_back(j);
-    }
-    records_[id].conflicts = partners.size();
-    if (!partners.empty()) enters.push_back(id);
-    std::sort(enters.begin(), enters.end());
-    if (!pending_rebuild_) {
-      for (const size_t j : enters) EnterContending(j);
-    }
-  }
+  RaiseConflicts(id);
   ++stats_.relabels;
   MC_COUNTER("mc.inc.relabels", 1);
   FinishDelta();
+}
+
+void IncrementalPassiveSolver::RaiseConflicts(size_t id) {
+  const std::vector<size_t> partners = ConflictPartners(id);
+  std::vector<size_t> enters;
+  for (const size_t j : partners) {
+    if (records_[j].conflicts++ == 0) enters.push_back(j);
+  }
+  records_[id].conflicts = partners.size();
+  if (!partners.empty()) enters.push_back(id);
+  std::sort(enters.begin(), enters.end());
+  if (!pending_rebuild_) {
+    for (const size_t j : enters) EnterContending(j);
+  }
+}
+
+void IncrementalPassiveSolver::DropConflicts(size_t id) {
+  const std::vector<size_t> partners = ConflictPartners(id);
+  std::vector<size_t> leaves;
+  for (const size_t j : partners) {
+    MC_DCHECK_GT(records_[j].conflicts, 0u);
+    if (--records_[j].conflicts == 0) leaves.push_back(j);
+  }
+  if (records_[id].contending) leaves.push_back(id);
+  std::sort(leaves.begin(), leaves.end());
+  for (const size_t j : leaves) LeaveContending(j);
+  records_[id].conflicts = 0;
 }
 
 void IncrementalPassiveSolver::EnterContending(size_t id) {
@@ -211,22 +190,18 @@ void IncrementalPassiveSolver::EnterContending(size_t id) {
   ++num_contending_;
   ++stats_.enter_contending;
   MC_COUNTER("mc.inc.enter_contending", 1);
-  if (record.vertex < 0) record.vertex = network_.AddVertex();
+  if (record.vertex < 0) record.vertex = AddVertex(id);
   if (record.label == 0) {
     record.terminal_edge = AddFiniteEdge(kSource, record.vertex, record.weight);
-    record.wiring.assign(chains_.size(), WireSlot{});
-    const Point& point = points_[id];
-    for (size_t c = 0; c < chains_.size(); ++c) {
-      if (chains_[c].empty()) continue;
-      const size_t t = HighestDominatedPosition(points_, chains_[c], point);
-      if (t == kNoDominatedMember) continue;
-      const size_t target = chains_[c][t];
-      record.wiring[c] = WireSlot{
-          target, AddInfiniteEdge(record.vertex, records_[target].relay)};
+    for (const std::vector<size_t>& chain : chains_) {
+      const size_t t = HighestDominatedPosition(points_, chain, points_[id]);
+      if (t != kNoDominatedMember) {
+        AddInfiniteEdge(record.vertex, records_[chain[t]].relay);
+      }
     }
   } else {
     record.terminal_edge = AddFiniteEdge(record.vertex, kSink, record.weight);
-    if (record.relay < 0) record.relay = network_.AddVertex();
+    if (record.relay < 0) record.relay = AddVertex(id);
     InsertChainMember(id);
   }
 }
@@ -235,11 +210,20 @@ void IncrementalPassiveSolver::LeaveContending(size_t id) {
   PointRecord& record = records_[id];
   MC_DCHECK(record.contending);
   if (record.label == 0) {
-    for (WireSlot& slot : record.wiring) {
-      if (slot.edge != kNone) RemoveEdge(record.vertex, slot.edge);
+    // A label-0 vertex's live out-edges are its wires, one per chain; they
+    // come off in chain order.
+    std::vector<std::pair<size_t, size_t>> wires;  // (chain, edge index)
+    const std::vector<FlowNetwork::Edge>& adjacency =
+        network_.adjacency(record.vertex);
+    for (size_t e = 0; e < adjacency.size(); ++e) {
+      if (adjacency[e].capacity > 0.0) {
+        const size_t member =
+            vertex_ids_[static_cast<size_t>(adjacency[e].to)];
+        wires.emplace_back(records_[member].chain, e);
+      }
     }
-    record.wiring.clear();
-    record.wiring.shrink_to_fit();
+    std::sort(wires.begin(), wires.end());
+    for (const auto& [chain, e] : wires) RemoveEdge(record.vertex, e);
     RemoveEdge(kSource, record.terminal_edge);
   } else {
     RemoveChainMember(id);
@@ -271,12 +255,6 @@ void IncrementalPassiveSolver::InsertChainMember(size_t id) {
     chain = chains_.size();
     chains_.emplace_back();
     pos = 0;
-    // Every wired label-0 point gains an empty slot for the new chain.
-    for (PointRecord& other : records_) {
-      if (other.live && other.contending && other.label == 0) {
-        other.wiring.emplace_back();
-      }
-    }
   }
   std::vector<size_t>& members = chains_[chain];
   members.insert(members.begin() + static_cast<std::ptrdiff_t>(pos), id);
@@ -304,15 +282,28 @@ void IncrementalPassiveSolver::InsertChainMember(size_t id) {
   // on this chain was `below` (or none, when the new member is the
   // bottom) and that dominate the new member. A point targeting a lower
   // member cannot dominate the new one (it would dominate `below` by
-  // transitivity), and a point targeting a higher member keeps it.
-  for (size_t p = 0; p < records_.size(); ++p) {
-    PointRecord& other = records_[p];
-    if (!other.live || !other.contending || other.label != 0) continue;
-    WireSlot& slot = other.wiring[chain];
-    if (slot.target != below) continue;
-    if (!DominatesEq(points_[p], point)) continue;
-    if (slot.edge != kNone) RemoveEdge(other.vertex, slot.edge);
-    slot = WireSlot{id, AddInfiniteEdge(other.vertex, record.relay)};
+  // transitivity), and a point targeting a higher member keeps it. The
+  // points targeting none have no wire to find, so a bottom insert scans
+  // for those that dominate the new member but not the old bottom.
+  std::vector<std::pair<size_t, size_t>> moves;  // (id, wire to `below`)
+  if (below != kNone) {
+    for (const auto& [p, e] : WiresInto(records_[below].relay)) {
+      if (DominatesEq(points_[p], point)) moves.emplace_back(p, e);
+    }
+  } else {
+    for (size_t p = 0; p < records_.size(); ++p) {
+      const PointRecord& other = records_[p];
+      if (other.live && other.contending && other.label == 0 &&
+          DominatesEq(points_[p], point) &&
+          (above == kNone || !DominatesEq(points_[p], points_[above]))) {
+        moves.emplace_back(p, kNone);
+      }
+    }
+  }
+  for (const auto& [p, e] : moves) {
+    const int vertex = records_[p].vertex;
+    if (e != kNone) RemoveEdge(vertex, e);
+    AddInfiniteEdge(vertex, record.relay);
     ++stats_.retarget_edges;
     MC_COUNTER("mc.inc.retarget_edges", 1);
   }
@@ -330,19 +321,13 @@ void IncrementalPassiveSolver::RemoveChainMember(size_t id) {
 
   // Label-0 edges aimed at the departing member drop to `below` (their
   // next-highest dominated member, by transitivity) or to nothing.
-  for (size_t p = 0; p < records_.size(); ++p) {
-    PointRecord& other = records_[p];
-    if (!other.live || !other.contending || other.label != 0) continue;
-    WireSlot& slot = other.wiring[chain];
-    if (slot.target != id) continue;
-    RemoveEdge(other.vertex, slot.edge);
+  for (const auto& [p, e] : WiresInto(record.relay)) {
+    const int vertex = records_[p].vertex;
+    RemoveEdge(vertex, e);
     if (below != kNone) {
-      slot = WireSlot{below, AddInfiniteEdge(other.vertex,
-                                             records_[below].relay)};
+      AddInfiniteEdge(vertex, records_[below].relay);
       ++stats_.retarget_edges;
       MC_COUNTER("mc.inc.retarget_edges", 1);
-    } else {
-      slot = WireSlot{};
     }
   }
 
@@ -368,6 +353,28 @@ void IncrementalPassiveSolver::RemoveChainMember(size_t id) {
   }
   record.chain = kNone;
   record.chain_pos = kNone;
+}
+
+std::vector<std::pair<size_t, size_t>> IncrementalPassiveSolver::WiresInto(
+    int relay) const {
+  std::vector<std::pair<size_t, size_t>> wires;
+  for (const FlowNetwork::Edge& in : network_.adjacency(relay)) {
+    // A live in-edge is the twin of an edge that still has capacity; the
+    // relay above's spine edge is one too, but its tail is no point's
+    // vertex.
+    const size_t id = vertex_ids_[static_cast<size_t>(in.to)];
+    if (records_[id].vertex == in.to &&
+        network_.adjacency(in.to)[in.rev].capacity > 0.0) {
+      wires.emplace_back(id, in.rev);
+    }
+  }
+  std::sort(wires.begin(), wires.end());
+  return wires;
+}
+
+int IncrementalPassiveSolver::AddVertex(size_t id) {
+  vertex_ids_.push_back(id);
+  return network_.AddVertex();
 }
 
 size_t IncrementalPassiveSolver::AddFiniteEdge(int u, int v, double capacity) {
@@ -475,9 +482,9 @@ void IncrementalPassiveSolver::DrainEdge(int u, size_t edge_index) {
 
 bool IncrementalPassiveSolver::NeedsRebuild() const {
   if (pending_rebuild_) return true;
-  return dead_edge_entries_ >= options_.compact_min_dead_edges &&
+  return dead_edge_entries_ >= kCompactMinDeadEdges &&
          static_cast<double>(dead_edge_entries_) >
-             options_.compact_dead_edge_ratio *
+             kCompactDeadEdgeRatio *
                  static_cast<double>(network_.NumStoredEdges());
 }
 
@@ -698,97 +705,58 @@ void IncrementalPassiveSolver::Rebuild() {
   MC_COUNTER("mc.inc.rebuilds", 1);
   MC_AUDIT(AuditConflictCounts());
   pending_rebuild_ = false;
-  network_dirty_ = false;
-  // An empty certificate makes NoteRaised record nothing while the new
-  // network is built; the cold solve below provides the next one.
-  certificate_.clear();
   raised_.clear();
   dead_edge_entries_ = 0;
-  active_finite_edges_ = 0;
-  active_infinite_edges_ = 0;
-  flow_value_ = 0.0;
-  num_contending_ = 0;
-  chains_.clear();
-  network_ = FlowNetwork(2);
   infinity_ = std::max(1.0, 2.0 * total_weight_ + 1.0);
   for (PointRecord& record : records_) {
-    record.contending = false;
-    record.vertex = -1;
-    record.relay = -1;
-    record.terminal_edge = kNone;
-    record.feed_edge = kNone;
-    record.spine_edge = kNone;
-    record.chain = kNone;
-    record.chain_pos = kNone;
-    record.wiring.clear();
-    record.wiring.shrink_to_fit();
+    record = PointRecord{.label = record.label, .weight = record.weight,
+                         .live = record.live, .conflicts = record.conflicts};
   }
 
   // Contending membership is conflicts > 0 (maintained incrementally and
   // just audited against the batch ComputeContending definition above).
-  std::vector<size_t> ones;   // contending label-1, ascending
-  std::vector<size_t> zeros;  // contending label-0, ascending
+  // The contending points, ascending, are the builder's whole set: its
+  // k-th point is ids[k].
+  std::vector<size_t> ids;
+  WeightedPointSet contending;
   for (size_t id = 0; id < records_.size(); ++id) {
     const PointRecord& record = records_[id];
     if (!record.live || record.conflicts == 0) continue;
-    (record.label == 1 ? ones : zeros).push_back(id);
+    ids.push_back(id);
+    contending.Add(points_[id], record.label, record.weight);
   }
+  std::vector<size_t> active(ids.size());
+  std::iota(active.begin(), active.end(), size_t{0});
+  SparseNetworkPlan plan = BuildSparseChainRelayNetwork(
+      contending, active, infinity_, options_.parallel);
+  network_ = std::move(plan.network);
+  num_contending_ = ids.size();
+  active_finite_edges_ = plan.finite_edges;
+  active_infinite_edges_ = plan.infinite_edges;
 
-  // Chains over the label-1 side only -- the relay construction never
-  // consults label-0 chain membership, so decomposing the smaller set
-  // keeps the same transparency argument with fewer chains.
-  if (!ones.empty()) {
-    MC_SPAN("inc/rebuild_chains");
-    const ChainDecomposition decomposition = ScalableChainDecomposition(
-        points_.Subset(ones), kSparseExactMatchingLimit);
-    chains_.assign(decomposition.NumChains(), {});
-    for (size_t c = 0; c < decomposition.chains.size(); ++c) {
-      for (const size_t k : decomposition.chains[c]) {
-        chains_[c].push_back(ones[k]);
-      }
-    }
-  }
-
-  // Point vertices + terminal edges in ascending id order, then relays in
-  // chain order, then label-0 wiring -- the same deterministic layout a
-  // replay of EnterContending calls would produce.
-  for (size_t id = 0; id < records_.size(); ++id) {
-    PointRecord& record = records_[id];
-    if (!record.live || record.conflicts == 0) continue;
+  // Vertex and edge handles, read from the plan's layout.
+  vertex_ids_.assign(static_cast<size_t>(network_.NumVertices()), kNone);
+  size_t source_edge = 0;
+  for (size_t k = 0; k < ids.size(); ++k) {
+    PointRecord& record = records_[ids[k]];
     record.contending = true;
-    ++num_contending_;
-    record.vertex = network_.AddVertex();
-    record.terminal_edge =
-        record.label == 0
-            ? AddFiniteEdge(kSource, record.vertex, record.weight)
-            : AddFiniteEdge(record.vertex, kSink, record.weight);
+    record.vertex = static_cast<int>(k) + 2;
+    record.terminal_edge = record.label == 0 ? source_edge++ : 0;
+    vertex_ids_[k + 2] = ids[k];
   }
-  std::vector<size_t> relay_ids;  // chain members in relay order
+  chains_ = std::move(plan.chains);
+  int relay = plan.relay_begin;
   for (size_t c = 0; c < chains_.size(); ++c) {
-    for (size_t t = 0; t < chains_[c].size(); ++t) {
-      relay_ids.push_back(chains_[c][t]);
-      PointRecord& record = records_[chains_[c][t]];
+    for (size_t t = 0; t < chains_[c].size(); ++t, ++relay) {
+      const size_t id = ids[chains_[c][t]];
+      chains_[c][t] = id;
+      PointRecord& record = records_[id];
       record.chain = c;
       record.chain_pos = t;
-      record.relay = network_.AddVertex();
-      record.feed_edge = AddInfiniteEdge(record.relay, record.vertex);
-      record.spine_edge =
-          t > 0 ? AddInfiniteEdge(record.relay,
-                                  records_[chains_[c][t - 1]].relay)
-                : kNone;
-    }
-  }
-  // Per-point relay wiring, shared with the sparse builder.
-  for (const size_t id : zeros) {
-    records_[id].wiring.assign(chains_.size(), WireSlot{});
-  }
-  for (const std::vector<RelayWire>& wires :
-       WireRelays(points_, zeros, chains_, options_.parallel)) {
-    for (const auto& [q, r] : wires) {
-      PointRecord& record = records_[zeros[q]];
-      const size_t target = relay_ids[r];
-      record.wiring[records_[target].chain] = WireSlot{
-          target, AddInfiniteEdge(record.vertex, records_[target].relay)};
+      record.relay = relay;
+      record.feed_edge = 0;
+      record.spine_edge = t > 0 ? 1 : kNone;
+      vertex_ids_[static_cast<size_t>(relay)] = id;
     }
   }
 

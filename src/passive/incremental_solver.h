@@ -16,12 +16,14 @@
 //     delta knows exactly which points enter or leave the contending set
 //     after one O(d n) scan;
 //   * the chain structure: chains over the contending label-1 points,
-//     extended in O(log |chain|) per member via ChainInsertPosition and
-//     re-decomposed (ScalableChainDecomposition) only on compaction;
-//   * the sparse chain-relay network (passive/sparse_network.h wiring
-//     rule, HighestDominatedPosition): one relay per contending label-1
+//     extended in O(log |chain|) per member via ChainInsertPosition;
+//   * the sparse chain-relay network: one relay per contending label-1
 //     point, patched edge-by-edge -- a delta rewires only the touched
-//     chain's spine and the label-0 points whose relay target changed;
+//     chain's spine and the label-0 points whose relay target
+//     (HighestDominatedPosition) changed. The network is the only record
+//     of a wire: a label-0 point's wires are its vertex's live out-edges.
+//     A rebuild takes chains and network from the cold solver's builder,
+//     BuildSparseChainRelayNetwork (passive/sparse_network.h);
 //   * the flow: edges to be removed are drained path-by-path (DrainEdge
 //     cancels only the flow actually crossing the edge). The last
 //     repair's source side is kept as a max-flow certificate: a vertex
@@ -67,12 +69,6 @@ struct IncrementalSolveOptions {
   // Parallelism for the O(n) conflict scans and the rebuild wiring; the
   // same shard-merge determinism contract as PassiveSolveOptions.
   ParallelOptions parallel;
-  // Deactivated edges stay in the network as inert zero-capacity
-  // entries. Once they exceed this fraction of the stored edges the
-  // solver compacts: full rebuild of chains, network and flow.
-  double compact_dead_edge_ratio = 0.5;
-  // Dead-edge compaction never triggers below this many dead entries.
-  size_t compact_min_dead_edges = 64;
 };
 
 // Lifetime counters for the delta pipeline (mirrored into the mc.inc.*
@@ -161,14 +157,11 @@ class IncrementalPassiveSolver {
   static constexpr size_t kNone = static_cast<size_t>(-1);
   static constexpr int kSource = 0;
   static constexpr int kSink = 1;
-
-  // A label-0 contending point's per-chain wiring: the chain member its
-  // relay edge targets (the highest member it dominates) and the edge's
-  // index in adjacency(vertex). Both kNone when it dominates no member.
-  struct WireSlot {
-    size_t target = static_cast<size_t>(-1);
-    size_t edge = static_cast<size_t>(-1);
-  };
+  // Deactivated edges stay in the network as inert zero-capacity
+  // entries. Once they number at least kCompactMinDeadEdges and exceed
+  // this fraction of the stored edges, the solver compacts: a rebuild.
+  static constexpr double kCompactDeadEdgeRatio = 0.5;
+  static constexpr size_t kCompactMinDeadEdges = 64;
 
   struct PointRecord {
     Label label = 0;
@@ -190,18 +183,27 @@ class IncrementalPassiveSolver {
     // Chain membership (label-1 contending only).
     size_t chain = static_cast<size_t>(-1);
     size_t chain_pos = static_cast<size_t>(-1);
-    // Per-chain relay wiring (label-0 contending only).
-    std::vector<WireSlot> wiring;
   };
 
   // O(d n) sharded scan: live points conflicting with `id` under the
   // labels currently stored, in increasing id order.
   std::vector<size_t> ConflictPartners(size_t id) const;
+  // Counts `id`'s conflicts under its current label into it and its
+  // partners, then enters the points whose count left 0, ascending.
+  void RaiseConflicts(size_t id);
+  // Takes them back out; the points whose count reached 0, `id` among
+  // them if it was contending, leave in ascending order.
+  void DropConflicts(size_t id);
 
   void EnterContending(size_t id);
   void LeaveContending(size_t id);
   void InsertChainMember(size_t id);
   void RemoveChainMember(size_t id);
+  // The live wires into `relay`, as (label-0 id, index of the wire in
+  // that point's vertex adjacency), in ascending id order.
+  std::vector<std::pair<size_t, size_t>> WiresInto(int relay) const;
+  // Appends a network vertex owned by `id` (its point vertex or relay).
+  int AddVertex(size_t id);
 
   size_t AddFiniteEdge(int u, int v, double capacity);
   size_t AddInfiniteEdge(int u, int v);
@@ -236,9 +238,10 @@ class IncrementalPassiveSolver {
   // edge leaves it.
   AuditResult AuditCertificate() const;
   bool NeedsRebuild() const;
-  // Compaction / cold start: re-derives chains, network and flow from
-  // the live records (conflict counts are maintained incrementally and
-  // stay authoritative across rebuilds).
+  // Compaction / cold start: re-derives chains, network (through
+  // BuildSparseChainRelayNetwork) and flow from the live records
+  // (conflict counts are maintained incrementally and stay authoritative
+  // across rebuilds).
   void Rebuild();
   // Bulk-load counts: an O(n log n) sweep with a Fenwick tree over y
   // ranks at d = 2, the sharded O(d n^2) pairwise scan elsewhere.
@@ -259,10 +262,14 @@ class IncrementalPassiveSolver {
 
   // Chains of contending label-1 ids, each ascending under weak
   // dominance. Chains may be empty between a member's departure and the
-  // next first-fit reuse; label-0 wiring vectors are indexed by chain.
+  // next first-fit reuse.
   std::vector<std::vector<size_t>> chains_;
 
   FlowNetwork network_{2};  // vertex 0 = source, 1 = sink
+  // The id owning each network vertex, as its point vertex or its relay
+  // (kNone for source and sink). A tail `v` is a point vertex exactly
+  // when records_[vertex_ids_[v]].vertex == v.
+  std::vector<size_t> vertex_ids_ = {kNone, kNone};
   double infinity_ = 1.0;   // capacity of dominance edges (Lemma 18)
   double flow_value_ = 0.0;
   size_t active_finite_edges_ = 0;

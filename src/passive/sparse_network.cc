@@ -95,40 +95,19 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
   SparseNetworkPlan plan;
   plan.relay_begin = static_cast<int>(num_active) + 2;
 
-  // Decompose the active points into chains. Positions below are indices
-  // into `active` (the subset's own index space).
-  ChainDecomposition decomposition;
-  {
-    MC_SPAN("passive/sparse_chains");
-    decomposition = ScalableChainDecomposition(set.points().Subset(active),
-                                               kSparseExactMatchingLimit);
-  }
-  plan.num_chains = decomposition.NumChains();
-
-  // The label-1 members of each chain, in ascending chain order; each
-  // gets one relay. A chain's label-1 members form a chain themselves,
-  // so the binary-search prefix property carries over.
-  std::vector<std::vector<size_t>> members(decomposition.NumChains());
-  // The same members as indices into set.points(), for WireRelays.
-  std::vector<std::vector<size_t>> global_members(decomposition.NumChains());
-  for (size_t c = 0; c < decomposition.chains.size(); ++c) {
-    for (const size_t k : decomposition.chains[c]) {
-      if (set.label(active[k]) == 1) {
-        members[c].push_back(k);
-        global_members[c].push_back(active[k]);
-      }
-    }
-    plan.num_relays += members[c].size();
-  }
-
   const int source = 0;
   const int sink = 1;
-  plan.network =
-      FlowNetwork(static_cast<int>(num_active + plan.num_relays) + 2);
+  plan.num_relays = static_cast<size_t>(
+      std::count_if(active.begin(), active.end(),
+                    [&](size_t i) { return set.label(i) == 1; }));
+  plan.network = FlowNetwork(plan.relay_begin +
+                             static_cast<int>(plan.num_relays));
 
   // Terminal edges, in active order (matching the dense build).
-  std::vector<size_t> zeros;      // positions in `active` of label 0
-  std::vector<size_t> zero_ids;   // the same points' indices in `set`
+  std::vector<size_t> zeros;     // positions in `active` of label 0
+  std::vector<size_t> zero_ids;  // the same points' indices in `set`
+  std::vector<size_t> ones;      // positions in `active` of label 1
+  std::vector<size_t> one_ids;   // the same points' indices in `set`
   for (size_t k = 0; k < num_active; ++k) {
     const size_t i = active[k];
     const int vertex = static_cast<int>(k) + 2;
@@ -138,17 +117,31 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
       zero_ids.push_back(i);
     } else {
       plan.network.AddEdge(vertex, sink, set.weight(i));
+      ones.push_back(k);
+      one_ids.push_back(i);
     }
     ++plan.finite_edges;
   }
 
+  // Decompose the label-1 points, the only ones that get relays; a
+  // label-0 point needs no chain of its own to be wired.
+  {
+    MC_SPAN("passive/sparse_chains");
+    plan.chains = ScalableChainDecomposition(set.points().Subset(one_ids),
+                                             kSparseExactMatchingLimit)
+                      .chains;
+  }
+  plan.num_chains = plan.chains.size();
+
   // Relay spines: each relay feeds its own label-1 point and the next
-  // relay down its chain.
+  // relay down its chain. Chain members turn from positions in `ones`
+  // into indices into `set` on the way.
   int relay = plan.relay_begin;
-  for (const std::vector<size_t>& chain : members) {
+  for (std::vector<size_t>& chain : plan.chains) {
     for (size_t t = 0; t < chain.size(); ++t, ++relay) {
-      plan.network.AddEdge(relay, static_cast<int>(chain[t]) + 2,
+      plan.network.AddEdge(relay, static_cast<int>(ones[chain[t]]) + 2,
                            infinite_capacity);
+      chain[t] = one_ids[chain[t]];
       ++plan.infinite_edges;
       if (t > 0) {
         plan.network.AddEdge(relay, relay - 1, infinite_capacity);
@@ -159,7 +152,7 @@ SparseNetworkPlan BuildSparseChainRelayNetwork(
 
   // Per-point relay wiring, added in the serial (point, chain) order.
   for (const std::vector<RelayWire>& wires :
-       WireRelays(set.points(), zero_ids, global_members, parallel)) {
+       WireRelays(set.points(), zero_ids, plan.chains, parallel)) {
     for (const auto& [q, r] : wires) {
       plan.network.AddEdge(static_cast<int>(zeros[q]) + 2,
                            plan.relay_begin + static_cast<int>(r),

@@ -7,12 +7,12 @@
 // dominating (label-0 p, label-1 q) pair -- Theta(n^2) edges, which caps
 // the n the passive solver scales to long before the max-flow solve
 // does. The paper's own machinery fixes this: a chain decomposition
-// (Lemma 6) totally orders each chain, so the transitive bundle of
-// infinite edges into a chain can be routed through one relay vertex per
-// label-1 chain member:
+// (Lemma 6) of the label-1 points totally orders each chain, so the
+// transitive bundle of infinite edges into a chain can be routed through
+// one relay vertex per chain member:
 //
-//   * relay r_c[t] owns the t-th label-1 point q_c[t] of chain c (chain
-//     order ascending under dominance) and feeds it: r_c[t] -> q_c[t];
+//   * relay r_c[t] owns the t-th point q_c[t] of chain c (chain order
+//     ascending under dominance) and feeds it: r_c[t] -> q_c[t];
 //   * relays chain downward, r_c[t] -> r_c[t-1], so reaching a relay
 //     reaches every label-1 point below it on the chain;
 //   * each label-0 point p gets one edge per chain it reaches,
@@ -29,8 +29,14 @@
 // finite-cut structure -- and with it the min-cut value (Lemmas 7-8/18)
 // and the residual-reachability classifier (Lemma 16) -- is *identical*
 // to the dense network's. docs/sparse_network.md gives the argument in
-// full. Edge count drops from Theta(n^2) to O(n w) for width w, and the
-// wiring costs O(d n w) bottom tests plus O(log n) per wiring edge.
+// full. Edge count drops from Theta(n^2) to O(n w) for the width w of
+// the label-1 points, and the wiring costs O(d n w) bottom tests plus
+// O(log n) per wiring edge.
+//
+// BuildSparseChainRelayNetwork is the one builder of this network: the
+// cold solver calls it, and so does IncrementalPassiveSolver's rebuild,
+// which reads its vertex and edge handles from the plan's layout and
+// then patches the network delta by delta.
 
 #ifndef MONOCLASS_PASSIVE_SPARSE_NETWORK_H_
 #define MONOCLASS_PASSIVE_SPARSE_NETWORK_H_
@@ -59,21 +65,29 @@ enum class PassiveNetworkBuild {
 };
 
 // A built chain-relay network plus its shape diagnostics. Vertex layout:
-// 0 = source, 1 = sink, 2 + k = the k-th active point, then all relays
-// in [relay_begin, NumVertices()).
+// 0 = source, 1 = sink, 2 + k = the k-th active point, then the relays
+// of chains[0], chains[1], ... bottom up in [relay_begin, NumVertices()).
+// Edge layout, which the incremental rebuild reads its handles from:
+//   * adjacency(0)[j] is the terminal edge of the j-th label-0 active
+//     point, and a label-1 point's terminal edge is its vertex's edge 0;
+//   * a relay's edge 0 feeds its own point, and edge 1 (t > 0) is its
+//     spine edge to the relay below.
 struct SparseNetworkPlan {
   FlowNetwork network{0};
   int relay_begin = 2;
+  // The Lemma 6 chains over the label-1 active points, as indices into
+  // the set, each ascending under dominance; relays follow this order.
+  std::vector<std::vector<size_t>> chains;
   size_t num_chains = 0;
   size_t num_relays = 0;
   size_t finite_edges = 0;
   size_t infinite_edges = 0;
 };
 
-// Number of points a d >= 3 active set may have before the Lemma 6
-// matching-based minimum decomposition (O(n^2.5)) would cost more than
-// the dense build it is meant to avoid; larger sets fall back to the
-// greedy decomposition (see ScalableChainDecomposition).
+// Number of label-1 points a d >= 3 active set may have before the
+// Lemma 6 matching-based minimum decomposition (O(n^2.5)) would cost
+// more than the dense build it is meant to avoid; larger sets fall back
+// to the greedy decomposition (see ScalableChainDecomposition).
 inline constexpr size_t kSparseExactMatchingLimit = 2048;
 
 // Sentinel returned by HighestDominatedPosition when `point` dominates
@@ -94,13 +108,12 @@ size_t HighestDominatedPosition(const PointSet& points,
 // members of every chain in chain order (chain 0's first, bottom up).
 using RelayWire = std::pair<size_t, size_t>;
 
-// The relay wiring both sparse builders share (BuildSparseChainRelayNetwork
-// and IncrementalPassiveSolver's rebuild). For each query point
+// The relay wiring of BuildSparseChainRelayNetwork. For each query point
 // points[queries[q]] (the label-0 points) and each chain c, in (q, c)
-// order, it yields the wire
-// to the relay of chains[c][HighestDominatedPosition(...)] when that
-// exists. `chains` lists point indices in ascending chain order and may
-// hold empty chains. A query is first tested against each chain's lowest
+// order, it yields the wire to the relay of
+// chains[c][HighestDominatedPosition(...)] when that exists. `chains`
+// lists point indices in ascending chain order and may hold empty
+// chains. A query is first tested against each chain's lowest
 // member (d compares, read from one contiguous array); only the chains it
 // passes get the binary search, so the searches -- counted in
 // mc.net.relay_searches -- equal the wires returned. Queries shard across
@@ -113,7 +126,8 @@ std::vector<std::vector<RelayWire>> WireRelays(
 
 // Builds the sparse chain-relay network over the points of `set` at the
 // indices in `active` (the Lemma 15 contending subset, in increasing
-// order). Terminal edges carry the point weights; every other edge
+// order), with relays over a ScalableChainDecomposition of its label-1
+// points. Terminal edges carry the point weights; every other edge
 // carries `infinite_capacity`. The relay wiring (WireRelays) adds its
 // edges in the serial (point, chain) order, so the edge list -- and hence
 // the max-flow traversal order and the extracted classifier -- is

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -19,13 +20,15 @@
 #include "core/dataset.h"
 #include "passive/contending.h"
 #include "passive/flow_solver.h"
+#include "passive/sparse_network.h"
 #include "test_util.h"
 #include "util/random.h"
 
 namespace monoclass {
 
-// Reads the maintained per-point conflict counts and the flow on a
-// point's terminal edge (white-box, as in audit_failure_test).
+// Reads the maintained per-point conflict counts, the flow on a point's
+// terminal edge and the patched network, and forces rebuilds
+// (white-box, as in audit_failure_test).
 struct IncrementalSolverTestPeer {
   static size_t conflicts(const IncrementalPassiveSolver& solver, size_t id) {
     return solver.records_[id].conflicts;
@@ -37,6 +40,86 @@ struct IncrementalSolverTestPeer {
         record.label == 0 ? IncrementalPassiveSolver::kSource : record.vertex;
     return FlowNetwork::FlowOn(
         solver.network_.adjacency(tail)[record.terminal_edge]);
+  }
+  // Set before a delta, FinishDelta takes the rebuild path.
+  static bool& pending_rebuild(IncrementalPassiveSolver& solver) {
+    return solver.pending_rebuild_;
+  }
+
+  // Each live contending label-0 point's live out-edges are exactly the
+  // wiring rule's: one per chain whose bottom it dominates, into the
+  // relay of the chain's HighestDominatedPosition.
+  static ::testing::AssertionResult WiringFollowsRule(
+      const IncrementalPassiveSolver& solver) {
+    for (size_t id = 0; id < solver.records_.size(); ++id) {
+      const auto& record = solver.records_[id];
+      if (!record.live || !record.contending || record.label != 0) continue;
+      const Point& point = solver.points_[id];
+      std::vector<int> wired;
+      for (const FlowNetwork::Edge& edge :
+           solver.network_.adjacency(record.vertex)) {
+        if (edge.capacity > 0.0) wired.push_back(edge.to);
+      }
+      std::vector<int> expected;
+      for (const std::vector<size_t>& chain : solver.chains_) {
+        if (chain.empty() ||
+            !DominatesEq(point, solver.points_[chain.front()])) {
+          continue;
+        }
+        const size_t t =
+            HighestDominatedPosition(solver.points_, chain, point);
+        expected.push_back(solver.records_[chain[t]].relay);
+      }
+      std::sort(wired.begin(), wired.end());
+      std::sort(expected.begin(), expected.end());
+      if (wired != expected) {
+        return ::testing::AssertionFailure()
+               << "label-0 id " << id << " has " << wired.size()
+               << " live wires, the wiring rule gives " << expected.size()
+               << " (or they reach other relays)";
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
+  // The solver's network against BuildSparseChainRelayNetwork over the
+  // snapshot's contending rows, edge for edge: same heads, same order,
+  // same finite capacities, and infinite exactly where the plan's are
+  // (the solver provisions 2W + 1 where the cold build uses W + 1).
+  static ::testing::AssertionResult NetworkIsTheBuilders(
+      const IncrementalPassiveSolver& solver) {
+    const WeightedPointSet snapshot = solver.Snapshot();
+    const double infinity = PassiveInfiniteCapacity(snapshot);
+    const SparseNetworkPlan plan = BuildSparseChainRelayNetwork(
+        snapshot,
+        ComputeContending(snapshot.points(), snapshot.labels()).contending,
+        infinity);
+    const FlowNetwork& network = solver.network_;
+    if (network.NumVertices() != plan.network.NumVertices()) {
+      return ::testing::AssertionFailure()
+             << network.NumVertices() << " vertices, the builder's "
+             << plan.network.NumVertices();
+    }
+    for (int v = 0; v < network.NumVertices(); ++v) {
+      const auto& got = network.adjacency(v);
+      const auto& want = plan.network.adjacency(v);
+      if (got.size() != want.size()) {
+        return ::testing::AssertionFailure()
+               << "vertex " << v << " has " << got.size()
+               << " edges, the builder's " << want.size();
+      }
+      for (size_t e = 0; e < got.size(); ++e) {
+        const double capacity = want[e].capacity == infinity
+                                    ? solver.infinity_
+                                    : want[e].capacity;
+        if (got[e].to != want[e].to || got[e].rev != want[e].rev ||
+            got[e].capacity != capacity) {
+          return ::testing::AssertionFailure()
+                 << "edge " << e << " of vertex " << v << " differs";
+        }
+      }
+    }
+    return ::testing::AssertionSuccess();
   }
 };
 
@@ -105,6 +188,8 @@ TEST(IncrementalSolverTest, RandomDeltaSequencesMatchColdSolve) {
                                     " threads=" + std::to_string(threads) +
                                     " step=" + std::to_string(step);
         ExpectMatchesCold(solver, context);
+        EXPECT_TRUE(IncrementalSolverTestPeer::WiringFollowsRule(solver))
+            << context;
         if (step % 10 == 9) {
           const AuditResult audit = solver.AuditIncrementalCut();
           EXPECT_TRUE(audit.ok) << context << ": " << audit.failure;
@@ -237,19 +322,17 @@ TEST(IncrementalSolverTest, RelabelOnlyStream) {
 }
 
 TEST(IncrementalSolverTest, AggressiveCompactionStaysCorrect) {
-  // Force a rebuild after virtually every structural delta: the compacted
-  // state must keep matching cold solves (and the conflict counters must
-  // survive rebuilds, which the rebuild audits under MONOCLASS_AUDIT).
+  // Force a rebuild on every delta: the compacted state must keep
+  // matching cold solves (and the conflict counters must survive
+  // rebuilds, which the rebuild audits under MONOCLASS_AUDIT).
   Rng rng(88);
-  IncrementalSolveOptions options;
-  options.compact_dead_edge_ratio = 0.01;
-  options.compact_min_dead_edges = 1;
   WeightedPointSet initial;
   for (int i = 0; i < 16; ++i) {
     initial.Add(GridPoint(rng, 2), rng.Bernoulli(0.5) ? 1 : 0, 1.0);
   }
-  IncrementalPassiveSolver solver(initial, options);
+  IncrementalPassiveSolver solver(initial);
   for (int step = 0; step < 30; ++step) {
+    IncrementalSolverTestPeer::pending_rebuild(solver) = true;
     const std::vector<size_t> live = solver.LiveIds();
     if (step % 2 == 0 || live.empty()) {
       solver.Insert(GridPoint(rng, 2), rng.Bernoulli(0.5) ? 1 : 0);
@@ -427,6 +510,101 @@ TEST(IncrementalSolverTest, BulkLoadedConflictCountsMatchRecount) {
     }
     EXPECT_EQ(bulk.NumContending(), contending) << "trial " << trial;
   }
+}
+
+// A rebuild takes its network from the cold solver's builder, so after a
+// bulk load and after every forced compaction the solver's network is
+// the builder's over the snapshot's contending rows.
+TEST(IncrementalSolverTest, RebuiltNetworkIsTheColdBuildersNetwork) {
+  for (const size_t d : {size_t{1}, size_t{2}, size_t{3}}) {
+    Rng rng(500 + d);
+    WeightedPointSet initial;
+    for (int i = 0; i < 40; ++i) {
+      initial.Add(GridPoint(rng, d), rng.Bernoulli(0.5) ? 1 : 0,
+                  rng.UniformDoubleInRange(0.5, 4.0));
+    }
+    IncrementalPassiveSolver solver(initial);
+    EXPECT_TRUE(IncrementalSolverTestPeer::NetworkIsTheBuilders(solver))
+        << "d=" << d << " after the bulk load";
+    for (int step = 0; step < 12; ++step) {
+      IncrementalSolverTestPeer::pending_rebuild(solver) = true;
+      const uint64_t rebuilds = solver.stats().rebuilds;
+      const std::vector<size_t> live = solver.LiveIds();
+      if (step % 3 == 0) {
+        solver.Insert(GridPoint(rng, d), rng.Bernoulli(0.5) ? 1 : 0);
+      } else if (step % 3 == 1) {
+        solver.Erase(live[rng.UniformInt(live.size())]);
+      } else {
+        solver.Relabel(live[rng.UniformInt(live.size())],
+                       rng.Bernoulli(0.5) ? 1 : 0);
+      }
+      if (solver.stats().rebuilds == rebuilds) continue;  // a no-op relabel
+      EXPECT_TRUE(IncrementalSolverTestPeer::NetworkIsTheBuilders(solver))
+          << "d=" << d << " after the compaction at step " << step;
+      ExpectMatchesCold(solver, "compaction step " + std::to_string(step));
+    }
+  }
+}
+
+// The three paths that retarget wires. Each checks the retarget count,
+// the wiring rule and the cold solve. Chains are over the label-1 points
+// at d = 2.
+
+// An insert at a chain's bottom wires the label-0 points that dominate
+// the new member but not the old bottom (they had no wire on the chain).
+TEST(IncrementalSolverTest, InsertAtChainBottomWiresThePointsBelowIt) {
+  WeightedPointSet initial;
+  initial.Add(Point{2.0, 2.0}, 1, 1.0);  // b, its chain's only member
+  initial.Add(Point{0.0, 3.0}, 1, 1.0);  // c, on another chain
+  initial.Add(Point{3.0, 3.0}, 0, 1.0);  // over b and c
+  initial.Add(Point{1.5, 3.5}, 0, 1.0);  // over c only
+  initial.Add(Point{1.2, 3.2}, 0, 1.0);  // over c only
+  initial.Add(Point{0.5, 3.5}, 0, 1.0);  // over c only, not over a
+  IncrementalPassiveSolver solver(initial);
+  ASSERT_EQ(solver.NumChains(), 2u);
+  const uint64_t retargets = solver.stats().retarget_edges;
+  solver.Insert(Point{1.0, 1.0}, 1);  // a: below b, beside c
+  EXPECT_EQ(solver.NumChains(), 2u);
+  EXPECT_EQ(solver.stats().retarget_edges, retargets + 2);
+  EXPECT_TRUE(IncrementalSolverTestPeer::WiringFollowsRule(solver));
+  ExpectMatchesCold(solver, "insert at a chain's bottom");
+}
+
+// An insert just above `below` moves the wires into `below` whose points
+// dominate the new member, and leaves the others; erasing that member
+// drops its wires back to `below`, and erasing the bottom drops them.
+TEST(IncrementalSolverTest, SplicesRetargetTheWiresOfTheMemberBelow) {
+  WeightedPointSet initial;
+  initial.Add(Point{0.0, 0.0}, 1, 1.0);  // a, the bottom
+  initial.Add(Point{3.0, 3.0}, 1, 1.0);  // b, above a
+  initial.Add(Point{1.5, 1.5}, 0, 1.0);  // wired to a, over m
+  initial.Add(Point{0.5, 2.5}, 0, 1.0);  // wired to a, not over m
+  initial.Add(Point{4.0, 4.0}, 0, 1.0);  // wired to b
+  initial.Add(Point{2.0, 1.2}, 0, 1.0);  // wired to a, over m
+  IncrementalPassiveSolver solver(initial);
+  ASSERT_EQ(solver.NumChains(), 1u);
+  uint64_t retargets = solver.stats().retarget_edges;
+  const size_t m = solver.Insert(Point{1.0, 1.0}, 1);  // between a and b
+  EXPECT_EQ(solver.NumChains(), 1u);
+  EXPECT_EQ(solver.stats().retarget_edges, retargets + 2);
+  EXPECT_TRUE(IncrementalSolverTestPeer::WiringFollowsRule(solver));
+  ExpectMatchesCold(solver, "insert just above below");
+
+  retargets = solver.stats().retarget_edges;
+  solver.Erase(m);  // its two wires drop back to a
+  EXPECT_EQ(solver.stats().retarget_edges, retargets + 2);
+  EXPECT_TRUE(IncrementalSolverTestPeer::WiringFollowsRule(solver));
+  ExpectMatchesCold(solver, "erase a member with wires");
+
+  retargets = solver.stats().retarget_edges;
+  const uint64_t deactivated = solver.stats().deactivated_edges;
+  solver.Erase(0);  // the bottom: its three wires go, nothing lies below
+  EXPECT_EQ(solver.stats().retarget_edges, retargets);
+  EXPECT_GE(solver.stats().deactivated_edges, deactivated + 3);
+  EXPECT_TRUE(IncrementalSolverTestPeer::WiringFollowsRule(solver));
+  ExpectMatchesCold(solver, "erase the bottom member");
+  const AuditResult audit = solver.AuditIncrementalCut();
+  EXPECT_TRUE(audit.ok) << audit.failure;
 }
 
 }  // namespace

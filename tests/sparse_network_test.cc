@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/chain_decomposition.h"
+#include "core/chain_decomposition_2d.h"
 #include "data/synthetic.h"
 #include "graph/flow_audit.h"
 #include "obs/obs.h"
@@ -128,6 +129,53 @@ TEST(SparseNetworkTest, EdgeBudgetIsPointsTimesChains) {
     EXPECT_EQ(plan.finite_edges, active.size());
     EXPECT_EQ(plan.network.NumVertices(),
               static_cast<int>(active.size() + plan.num_relays) + 2);
+  }
+}
+
+TEST(SparseNetworkTest, ChainsPartitionTheLabelOneActivePoints) {
+  // Only label-1 points get relays, so only they are decomposed; the
+  // relays follow plan.chains in the documented layout, which the
+  // incremental rebuild reads its handles from.
+  Rng rng(151);
+  for (int trial = 0; trial < 12; ++trial) {
+    const size_t d = 1 + trial % 4;
+    const auto set = WeightedPointSet::UnitWeights(
+        testing_util::RandomLabeledSet(rng, 80, d));
+    const auto active =
+        ComputeContending(set.points(), set.labels()).contending;
+    const SparseNetworkPlan plan =
+        BuildSparseChainRelayNetwork(set, active, set.TotalWeight() + 1.0);
+    std::vector<size_t> ones;
+    std::vector<int> vertex(set.size(), -1);
+    for (size_t k = 0; k < active.size(); ++k) {
+      if (set.label(active[k]) == 1) ones.push_back(active[k]);
+      vertex[active[k]] = static_cast<int>(k) + 2;
+    }
+    ASSERT_FALSE(ones.empty()) << "trial " << trial;
+    EXPECT_EQ(plan.num_chains, plan.chains.size());
+    EXPECT_EQ(plan.num_relays, ones.size());
+    std::vector<size_t> members;
+    int relay = plan.relay_begin;
+    for (const std::vector<size_t>& chain : plan.chains) {
+      ASSERT_FALSE(chain.empty());
+      for (size_t t = 0; t < chain.size(); ++t, ++relay) {
+        const auto& edges = plan.network.adjacency(relay);
+        EXPECT_EQ(edges[0].to, vertex[chain[t]]);
+        if (t > 0) {
+          EXPECT_TRUE(DominatesEq(set.point(chain[t]), set.point(chain[t - 1])))
+              << "trial " << trial;
+          EXPECT_EQ(edges[1].to, relay - 1);
+        }
+        members.push_back(chain[t]);
+      }
+    }
+    std::sort(members.begin(), members.end());
+    EXPECT_EQ(members, ones) << "trial " << trial;
+    if (d == 2) {
+      EXPECT_EQ(plan.chains.size(),
+                MinimumChainDecomposition2D(set.points().Subset(ones))
+                    .NumChains());
+    }
   }
 }
 
