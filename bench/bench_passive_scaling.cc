@@ -3,9 +3,10 @@
 //
 // Experiment E2: Theorem 4 runtime scaling. The claim is
 // O(d n^2) + T_maxflow(n): the graph build dominates for small flows, and
-// the total stays polynomial. At d = 2 the quadratic passes (contending,
-// the Lemma 16 check, generator pruning) are O(n log n) sweeps, so the
-// d = 2 rows grow well below n^2. Also reports the contending-reduction
+// the total stays polynomial. The dominance passes (contending, the
+// Lemma 16 check, generator pruning) test points against one label's
+// minimal or maximal points only, O(n log n) at d = 2, so the d = 2 rows
+// grow well below n^2. Also reports the contending-reduction
 // ablation (network size and runtime with/without Lemma 15) and verifies
 // the optimum against brute force at the smallest n.
 
@@ -28,8 +29,8 @@ void Run() {
   bench::PrintHeader(
       "E2", "Theorem 4",
       "passive weighted classification solves exactly in O(dn^2) + "
-      "T_maxflow(n), with O(n log n) sweeps for the quadratic passes at "
-      "d = 2; the Lemma 15 reduction shrinks the network");
+      "T_maxflow(n), with the dominance passes O(n log n) at d = 2; the "
+      "Lemma 15 reduction shrinks the network");
 
   bench::PrintSection("runtime scaling in n (d = 2, 1% label noise)");
   {
@@ -247,10 +248,10 @@ void Run() {
   }
 
   bench::PrintSection(
-      "thread sweep: parallel O(n^2) phases (n = 8192, d = 4, 2% noise)");
+      "thread sweep: sharded network build (n = 8192, d = 4, 2% noise)");
   {
-    // The contending scan and dominance-edge build shard across the
-    // pool; the max-flow step stays serial. The determinism contract
+    // The network build's wiring shards across the pool; the dominance
+    // passes and the max-flow step stay serial. The determinism contract
     // requires the network -- and so the classifier and k* -- to be
     // bit-identical to the serial build at every thread count.
     PlantedOptions options;

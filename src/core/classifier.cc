@@ -3,11 +3,10 @@
 
 #include "core/classifier.h"
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <iterator>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <utility>
 
@@ -15,17 +14,55 @@
 #include "obs/obs.h"
 
 namespace monoclass {
+namespace {
+
+// The lower frontier of the value-1 points, or nullopt when a value-0
+// point dominates a member (the assignment is not monotone).
+std::optional<DominanceFrontier> PositiveFrontierIfMonotone(
+    const PointSet& points, const std::vector<Label>& values) {
+  MC_CHECK_EQ(points.size(), values.size());
+  std::vector<size_t> positives;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (values[i] == 1) positives.push_back(i);
+  }
+  DominanceFrontier frontier(points.points(), std::move(positives),
+                             DominanceFrontier::Side::kLower);
+  uint64_t tests = 0;
+  bool monotone = true;
+  for (size_t i = 0; i < points.size() && monotone; ++i) {
+    monotone = values[i] != 0 || !frontier.Reaches(points[i], &tests);
+  }
+  if (points.dimension() != 2) MC_COUNTER("mc.dom.frontier_tests", tests);
+  if (!monotone) return std::nullopt;
+  return frontier;
+}
+
+// Keeps only the members of the generators' lower frontier, in input
+// order, and returns that frontier.
+DominanceFrontier PruneToFrontier(std::vector<Point>& generators) {
+  std::vector<size_t> all(generators.size());
+  std::iota(all.begin(), all.end(), size_t{0});
+  DominanceFrontier frontier(generators, std::move(all),
+                             DominanceFrontier::Side::kLower);
+  std::vector<Point> minimal;
+  minimal.reserve(frontier.members().size());
+  for (const size_t i : frontier.members()) {
+    minimal.push_back(std::move(generators[i]));
+  }
+  generators = std::move(minimal);
+  return frontier;
+}
+
+}  // namespace
 
 MonotoneClassifier MonotoneClassifier::AlwaysZero(size_t dimension) {
-  MC_CHECK_GE(dimension, 1u);
-  return MonotoneClassifier({}, dimension);
+  return FromGenerators({}, dimension);
 }
 
 MonotoneClassifier MonotoneClassifier::AlwaysOne(size_t dimension) {
-  MC_CHECK_GE(dimension, 1u);
-  const Point bottom(std::vector<double>(
-      dimension, -std::numeric_limits<double>::infinity()));
-  return MonotoneClassifier({bottom}, dimension);
+  const double bottom = -std::numeric_limits<double>::infinity();
+  return FromGenerators({Point(std::vector<double>(dimension, bottom))},
+                        dimension);
 }
 
 MonotoneClassifier MonotoneClassifier::FromGenerators(
@@ -34,7 +71,8 @@ MonotoneClassifier MonotoneClassifier::FromGenerators(
   for (const Point& g : generators) {
     MC_CHECK_EQ(g.dimension(), dimension);
   }
-  return MonotoneClassifier(MinimalGenerators(std::move(generators)),
+  DominanceFrontier frontier = PruneToFrontier(generators);
+  return MonotoneClassifier(std::move(generators), std::move(frontier),
                             dimension);
 }
 
@@ -43,27 +81,25 @@ MonotoneClassifier MonotoneClassifier::Threshold1D(double tau) {
   // h(p) = 1 iff p > tau iff p >= nextafter(tau, +inf) for doubles.
   const double generator =
       std::nextafter(tau, std::numeric_limits<double>::infinity());
-  return MonotoneClassifier({Point{generator}}, 1);
+  return FromGenerators({Point{generator}}, 1);
 }
 
 std::optional<MonotoneClassifier> MonotoneClassifier::FromAssignment(
     const PointSet& points, const std::vector<Label>& values) {
-  MC_CHECK_EQ(points.size(), values.size());
   MC_CHECK(!points.empty());
-  if (!IsMonotoneAssignment(points, values)) return std::nullopt;
-  std::vector<Point> positives;
-  for (size_t i = 0; i < points.size(); ++i) {
-    if (values[i] == 1) positives.push_back(points[i]);
-  }
-  return FromGenerators(std::move(positives), points.dimension());
+  std::optional<DominanceFrontier> frontier =
+      PositiveFrontierIfMonotone(points, values);
+  if (!frontier.has_value()) return std::nullopt;
+  std::vector<Point> generators;
+  generators.reserve(frontier->members().size());
+  for (const size_t i : frontier->members()) generators.push_back(points[i]);
+  return MonotoneClassifier(std::move(generators), *std::move(frontier),
+                            points.dimension());
 }
 
 bool MonotoneClassifier::Classify(const Point& x) const {
   MC_DCHECK_EQ(x.dimension(), dimension_);
-  for (const Point& g : generators_) {
-    if (DominatesEq(x, g)) return true;
-  }
-  return false;
+  return frontier_.Reaches(x);
 }
 
 std::vector<Label> MonotoneClassifier::ClassifySet(
@@ -76,17 +112,9 @@ std::vector<Label> MonotoneClassifier::ClassifySet(
 }
 
 bool MonotoneClassifier::IsAlwaysOne() const {
-  for (const Point& g : generators_) {
-    bool all_bottom = true;
-    for (size_t i = 0; i < g.dimension(); ++i) {
-      if (g[i] != -std::numeric_limits<double>::infinity()) {
-        all_bottom = false;
-        break;
-      }
-    }
-    if (all_bottom) return true;
-  }
-  return false;
+  // Only a generator at -infinity^d lies below -infinity^d.
+  return Classify(Point(std::vector<double>(
+      dimension_, -std::numeric_limits<double>::infinity())));
 }
 
 std::string MonotoneClassifier::ToString() const {
@@ -112,34 +140,8 @@ size_t CountErrors(const MonotoneClassifier& h, const LabeledPointSet& set) {
 double WeightedError(const MonotoneClassifier& h,
                      const WeightedPointSet& set) {
   double error = 0.0;
-  if (h.dimension() != 2) {
-    for (size_t i = 0; i < set.size(); ++i) {
-      const Label predicted = h.Classify(set.point(i)) ? 1 : 0;
-      if (predicted != set.label(i)) error += set.weight(i);
-    }
-    return error;
-  }
-  // h(p) = 1 iff the least y among the generators at x' <= x is <= y. So
-  // sort the generators by x, keep the running minimum of y, and answer
-  // each point with one binary search: O((n + G) log G). The sum adds
-  // the same terms in the same order as the loop above.
-  std::vector<std::pair<double, double>> staircase;
-  staircase.reserve(h.generators().size());
-  for (const Point& g : h.generators()) staircase.emplace_back(g[0], g[1]);
-  std::sort(staircase.begin(), staircase.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (size_t k = 1; k < staircase.size(); ++k) {
-    staircase[k].second =
-        std::min(staircase[k].second, staircase[k - 1].second);
-  }
   for (size_t i = 0; i < set.size(); ++i) {
-    const Point& p = set.point(i);
-    const auto above = std::upper_bound(
-        staircase.begin(), staircase.end(), p[0],
-        [](double x, const auto& step) { return x < step.first; });
-    const Label predicted =
-        above != staircase.begin() && std::prev(above)->second <= p[1] ? 1
-                                                                        : 0;
+    const Label predicted = h.Classify(set.point(i)) ? 1 : 0;
     if (predicted != set.label(i)) error += set.weight(i);
   }
   return error;
@@ -147,28 +149,7 @@ double WeightedError(const MonotoneClassifier& h,
 
 bool IsMonotoneAssignment(const PointSet& points,
                           const std::vector<Label>& values) {
-  MC_CHECK_EQ(points.size(), values.size());
-  if (points.dimension() != 2) return IsMonotoneAssignmentScan(points, values);
-
-  // A value-0 point breaks monotonicity iff some value-1 point at x' <= x
-  // has y' <= y.
-  const std::vector<Point>& p = points.points();
-  const std::vector<size_t> order = LexicographicOrder2D(p);
-  double min_y1 = std::numeric_limits<double>::infinity();
-  size_t visited = 0;
-  const bool monotone = ForEachEqualXRun(
-      p, order, /*descending=*/false, [&](size_t begin, size_t end) {
-        visited = end;
-        for (size_t k = begin; k < end; ++k) {
-          if (values[order[k]] == 1) min_y1 = std::min(min_y1, p[order[k]][1]);
-        }
-        for (size_t k = begin; k < end; ++k) {
-          if (values[order[k]] == 0 && p[order[k]][1] >= min_y1) return false;
-        }
-        return true;
-      });
-  MC_COUNTER("mc.dom.sweep_points", visited);
-  return monotone;
+  return PositiveFrontierIfMonotone(points, values).has_value();
 }
 
 bool IsMonotoneAssignmentScan(const PointSet& points,
@@ -202,34 +183,8 @@ bool EquivalentOn(const MonotoneClassifier& a, const MonotoneClassifier& b,
 }
 
 std::vector<Point> MinimalGenerators(std::vector<Point> generators) {
-  if (generators.empty() || generators[0].dimension() != 2) {
-    return MinimalGeneratorsScan(std::move(generators));
-  }
-  for (const Point& g : generators) {
-    MC_CHECK_EQ(g.dimension(), 2u);
-    MC_CHECK(!std::isnan(g[0]) && !std::isnan(g[1]))
-        << "generator coordinates must not be NaN, got " << g.ToString();
-  }
-  // Everything earlier in (x, y, index) order has x' <= x, and a weakly
-  // dominated generator (or a later duplicate) always comes after the one
-  // below it. So a generator survives iff its y is strictly below every
-  // earlier generator's y. Survivors are compacted to the front of
-  // `order`, then put back in input order.
-  std::vector<size_t> order = LexicographicOrder2D(generators);
-  size_t kept = 0;
-  for (size_t k = 0; k < order.size(); ++k) {
-    const size_t i = order[k];
-    if (kept == 0 || generators[i][1] < generators[order[kept - 1]][1]) {
-      order[kept++] = i;
-    }
-  }
-  MC_COUNTER("mc.dom.sweep_points", order.size());
-  order.resize(kept);
-  std::sort(order.begin(), order.end());
-  std::vector<Point> minimal;
-  minimal.reserve(kept);
-  for (const size_t i : order) minimal.push_back(std::move(generators[i]));
-  return minimal;
+  PruneToFrontier(generators);
+  return generators;
 }
 
 std::vector<Point> MinimalGeneratorsScan(std::vector<Point> generators) {

@@ -16,15 +16,19 @@
 // construction* -- there is no way to build a non-monotone classifier.
 // The 1D threshold classifiers h^tau of paper Section 3 (h(p) = 1 iff
 // p > tau) correspond to a single generator just above tau.
+// G is a lower DominanceFrontier (core/dominance.h), which the classifier
+// keeps for Classify to query.
 
 #ifndef MONOCLASS_CORE_CLASSIFIER_H_
 #define MONOCLASS_CORE_CLASSIFIER_H_
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.h"
+#include "core/dominance.h"
 #include "core/point.h"
 
 namespace monoclass {
@@ -38,7 +42,8 @@ class MonotoneClassifier {
   static MonotoneClassifier AlwaysOne(size_t dimension);
 
   // Builds a classifier from generator points; redundant (non-minimal)
-  // generators are pruned. All generators must share one dimension >= 1.
+  // generators are pruned. All generators must share one dimension >= 1
+  // and have no NaN coordinate.
   static MonotoneClassifier FromGenerators(std::vector<Point> generators,
                                            size_t dimension);
 
@@ -50,11 +55,13 @@ class MonotoneClassifier {
   // extends monotonically to R^d (positive region generated by the minimal
   // value-1 points). Returns nullopt when the assignment itself is not
   // monotone on `points`, i.e., some p dominates q with value(p) = 0 and
-  // value(q) = 1.
+  // value(q) = 1. One lower frontier of the value-1 points is both the
+  // check and the generators.
   static std::optional<MonotoneClassifier> FromAssignment(
       const PointSet& points, const std::vector<Label>& values);
 
-  // Evaluates h(x). x must have the classifier's dimension.
+  // Evaluates h(x) with one frontier query: O(log G) at d = 2, O(d G)
+  // otherwise. x must have the classifier's dimension and no NaN.
   bool Classify(const Point& x) const;
 
   // h as 0/1 on every point of a set.
@@ -74,47 +81,42 @@ class MonotoneClassifier {
   std::string ToString() const;
 
  private:
-  MonotoneClassifier(std::vector<Point> generators, size_t dimension)
-      : generators_(std::move(generators)), dimension_(dimension) {}
+  MonotoneClassifier(std::vector<Point> generators,
+                     DominanceFrontier frontier, size_t dimension)
+      : generators_(std::move(generators)),
+        frontier_(std::move(frontier)),
+        dimension_(dimension) {}
 
   std::vector<Point> generators_;
+  DominanceFrontier frontier_;  // generators_'s; its member ids go unused
   size_t dimension_ = 0;
 };
 
 // err_P(h) of eq. (1): number of points of P mis-classified by h.
 size_t CountErrors(const MonotoneClassifier& h, const LabeledPointSet& set);
 
-// w-err_P(h) of eq. (3): total weight of mis-classified points. At d = 2
-// the generators sorted by x with a running minimum of y classify each
-// point by one binary search, O((n + G) log G) for G generators, with the
-// same sum bit for bit; every other dimension tests each point against
-// each generator, O(d n G).
+// w-err_P(h) of eq. (3): total weight of mis-classified points.
 double WeightedError(const MonotoneClassifier& h, const WeightedPointSet& set);
 
 // Checks that an explicit 0/1 assignment over `points` respects dominance
 // (no p >= q with value(p) = 0, value(q) = 1; Lemma 16 for the cut
-// classifier). At d = 2 an ascending-x sweep with the running minimum y of
-// the value-1 points decides it in O(n log n) and stops at the first
-// conflict; every other dimension runs IsMonotoneAssignmentScan.
+// classifier) by testing the value-0 points against the value-1 points'
+// lower frontier: O(n log n) at d = 2, O(d n G) for G members otherwise.
 bool IsMonotoneAssignment(const PointSet& points,
                           const std::vector<Label>& values);
 
-// The O(d n^2) pairwise check, for any d: the path at d != 2 and the
-// reference for the sweep.
+// The O(d n^2) pairwise reference for IsMonotoneAssignment.
 bool IsMonotoneAssignmentScan(const PointSet& points,
                               const std::vector<Label>& values);
 
 // Prunes non-minimal points from a generator set: keeps each point that is
 // not weakly dominated by a *different remaining* generator (one survivor
 // per duplicate group, the first). The result is an antichain generating
-// the same upward closure; survivors keep their input order. At d = 2 a
-// sweep in (x, y, index) order keeps a generator iff its y is strictly
-// below every earlier one's, in O(n log n); coordinates may be infinite
-// but not NaN there. Every other dimension runs MinimalGeneratorsScan.
+// the same upward closure, in input order: the generators' lower
+// frontier. Coordinates may be infinite but not NaN.
 std::vector<Point> MinimalGenerators(std::vector<Point> generators);
 
-// The O(d n^2) pairwise pruning, for any d: the path at d != 2 and the
-// reference for the sweep.
+// The O(d n^2) pairwise reference for MinimalGenerators.
 std::vector<Point> MinimalGeneratorsScan(std::vector<Point> generators);
 
 // True iff the two classifiers agree on every point of `points` (finite

@@ -12,18 +12,16 @@
 // first), which keeps the digraph acyclic and transitively closed while
 // preserving chain semantics: equal points sit adjacently on a chain.
 //
-// At d = 2 the same order has an O(n log n) form: sorting by (x, y) is a
-// linear extension, and a sweep over it that keeps a running extreme of y
-// answers "does some point of one kind weakly dominate a point of the
-// other kind?" for every point at once. LexicographicOrder2D and
-// ForEachEqualXRun below are the shared pieces of those sweeps (Lemma 15's
-// contending points, the Lemma 16 check, generator pruning and the
-// incremental solver's conflict counts).
+// DominanceFrontier below answers Theorem 4's dominance passes in every
+// dimension. LexicographicOrder2D and ForEachEqualXRun are the d = 2
+// sort and sweep that MinimumChainDecomposition2D and the incremental
+// solver's bulk-load conflict counts use.
 
 #ifndef MONOCLASS_CORE_DOMINANCE_H_
 #define MONOCLASS_CORE_DOMINANCE_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/dataset.h"
@@ -49,11 +47,10 @@ std::vector<size_t> LexicographicOrder2D(const std::vector<Point>& points);
 // Splits `order` (a LexicographicOrder2D of `points`) into its runs of
 // equal x and calls run(begin, end) on each run [begin, end) of positions
 // in ascending x, or in descending x when `descending` is set. A sweep
-// folds a whole run into its running extreme before it tests any point of
-// the run; that is what makes equal-x ties follow DominatesEq. Stops and
-// returns false as soon as `run` returns false.
+// folds a whole run into its running counts before it tests any point of
+// the run; that is what makes equal-x ties follow DominatesEq.
 template <typename RunFn>
-bool ForEachEqualXRun(const std::vector<Point>& points,
+void ForEachEqualXRun(const std::vector<Point>& points,
                       const std::vector<size_t>& order, bool descending,
                       RunFn run) {
   const auto x = [&](size_t position) { return points[order[position]][0]; };
@@ -63,7 +60,7 @@ bool ForEachEqualXRun(const std::vector<Point>& points,
     while (begin < n) {
       size_t end = begin + 1;
       while (end < n && x(end) == x(begin)) ++end;
-      if (!run(begin, end)) return false;
+      run(begin, end);
       begin = end;
     }
   } else {
@@ -71,12 +68,53 @@ bool ForEachEqualXRun(const std::vector<Point>& points,
     while (end > 0) {
       size_t begin = end - 1;
       while (begin > 0 && x(begin - 1) == x(end - 1)) --begin;
-      if (!run(begin, end)) return false;
+      run(begin, end);
       end = begin;
     }
   }
-  return true;
 }
+
+// The minimal points of a set under weak dominance (a lower frontier) or
+// its maximal points (an upper one), keeping the lowest index of each
+// group of coordinate-equal points. By transitivity they answer "does q
+// dominate a point of the set?" (lower) and "does a point of the set
+// dominate q?" (upper); Gupta and Manoj call minimal points 1-certificates.
+// Built by one lexicographic sort (by value, so -0.0 ties 0.0; ties by
+// index), a linear extension of dominance, then a filter keeping each
+// point that dominates no earlier member on the coordinates after the
+// first: one y at d = 2, where the members form a staircase, or a scan,
+// O(d n m) for m members. An upper frontier negates the coordinates.
+class DominanceFrontier {
+ public:
+  enum class Side { kLower, kUpper };
+
+  // The frontier of points[i] for the distinct i in `indices`, which must
+  // share one dimension >= 1 and have no NaN coordinate. Adds the points
+  // to mc.dom.frontier_points and, at d != 2, the filter's member tests
+  // to mc.dom.frontier_tests.
+  DominanceFrontier(const std::vector<Point>& points,
+                    std::vector<size_t> indices, Side side);
+
+  // Lower: true iff q weakly dominates a member; upper: iff a member
+  // weakly dominates q. Binary-searches the first coordinate, then
+  // compares one y (d = 2) or scans, adding the members scanned to
+  // `*member_tests` when given.
+  bool Reaches(const Point& q, uint64_t* member_tests = nullptr) const;
+
+  // The members' indices, ascending.
+  const std::vector<size_t>& members() const { return members_; }
+
+ private:
+  // True iff q, negated for an upper frontier, is >= one of the first
+  // `prefix` members on every coordinate after the first.
+  bool DominatesOneOf(const double* q, size_t prefix,
+                      uint64_t* member_tests) const;
+
+  size_t dimension_ = 0;
+  double sign_ = 1.0;  // -1.0 for an upper frontier
+  std::vector<size_t> members_;
+  std::vector<double> coordinates_;  // sign_ * members, in sort order
+};
 
 }  // namespace monoclass
 

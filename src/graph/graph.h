@@ -21,9 +21,9 @@
 
 namespace monoclass {
 
-// Residual capacities below this threshold count as saturated. The passive
-// solver's weights are >= kFlowEps by validation, so no legitimate edge is
-// ever mistaken for dust.
+// Residual capacities at or below this threshold count as saturated. The
+// passive solvers refuse weights at or below it (CheckPassiveWeight in
+// passive/flow_solver.h), so no legitimate edge is ever mistaken for dust.
 inline constexpr double kFlowEps = 1e-9;
 
 // Directed flow network over vertices 0..NumVertices()-1 with residual

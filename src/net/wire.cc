@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "graph/graph.h"
+
 namespace monoclass {
 namespace net {
 namespace {
@@ -308,7 +310,7 @@ PassiveSolveRequest PassiveSolveRequest::Unserialize(WireStream& s) {
     throw WireError("weights/points size mismatch");
   }
   for (const double w : m.weights) {
-    if (!std::isfinite(w) || !(w > 0.0)) throw WireError("bad weight");
+    if (!std::isfinite(w) || !(w > kFlowEps)) throw WireError("bad weight");
   }
   return m;
 }

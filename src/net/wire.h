@@ -173,8 +173,8 @@ struct PassiveSolveRequest {
 
   void Serialize(WireStream& s) const;
   // Rejects, besides malformed bytes, every request the solver would
-  // refuse: labels outside {0,1}, and weights that are not finite and
-  // strictly positive.
+  // refuse: labels outside {0,1}, and weights that are not finite or not
+  // above kFlowEps, the passive solvers' weight floor.
   static PassiveSolveRequest Unserialize(WireStream& s);
 };
 

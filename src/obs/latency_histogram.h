@@ -7,7 +7,7 @@
 // are computed exactly from the bucket counts by nearest rank, with a
 // worst-case relative error of one sub-bucket width (~3% at 32
 // sub-buckets per octave) -- unlike util/stats.h RunningStat::Quantile,
-// which assumes normality and is only a moment-based estimate.
+// which keeps every sample and interpolates between order statistics.
 //
 // Updates are single relaxed atomic increments (plus CAS loops for
 // sum/min/max), so a LatencyHistogram can be hammered from every pool

@@ -44,27 +44,17 @@ struct ContendingPartition {
 // Computes P^con. Coordinate-equal pairs with opposite labels are
 // mutually contending (each weakly dominates the other).
 //
-// At d = 2 this is a sweep over the points sorted by (x, y), O(n log n)
-// on the calling thread: ascending x with the running minimum y of the
-// label-1 points marks the label-0 points, descending x with the running
-// maximum y of the label-0 points marks the label-1 points. Every other
-// dimension runs ComputeContendingScan, the only place `parallel` is
-// used. Both paths return the same partition.
+// A label-0 point contends iff it dominates a member of the label-1
+// points' lower DominanceFrontier (core/dominance.h), a label-1 point iff
+// a member of the label-0 points' upper frontier dominates it. Serial;
+// `parallel` is unused and stays for the callers that pass it.
 ContendingPartition ComputeContending(const PointSet& points,
                                       const std::vector<Label>& labels,
                                       const ParallelOptions& parallel = {});
 
-// The O(d n^2) pairwise scan, for any d: the path at d != 2 and the
-// reference the d = 2 sweep is checked against.
-//
-// The scan is row-partitioned across `parallel` workers; whether point i
-// is contending depends only on row i, so the shards are independent and
-// their index lists concatenate in shard order to the same increasing
-// sequence a serial scan produces. threads = 1 (or a single shard) runs
-// inline with no pool involvement.
+// The O(d n^2) pairwise reference for ComputeContending.
 ContendingPartition ComputeContendingScan(const PointSet& points,
-                                          const std::vector<Label>& labels,
-                                          const ParallelOptions& parallel = {});
+                                          const std::vector<Label>& labels);
 
 }  // namespace monoclass
 

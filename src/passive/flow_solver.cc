@@ -26,6 +26,11 @@ double PassiveInfiniteCapacity(const WeightedPointSet& set) {
   return set.TotalWeight() + 1.0;
 }
 
+void CheckPassiveWeight(double weight) {
+  MC_CHECK_GT(weight, kFlowEps)
+      << "passive solver weights must exceed the flow tolerance kFlowEps";
+}
+
 void FinalizePassiveResult(const WeightedPointSet& set,
                            PassiveSolveResult& result) {
   auto classifier =
@@ -47,6 +52,7 @@ PassiveSolveResult SolvePassiveWeighted(const WeightedPointSet& set,
                                         const PassiveSolveOptions& options) {
   MC_CHECK(!set.empty());
   const size_t n = set.size();
+  for (size_t i = 0; i < n; ++i) CheckPassiveWeight(set.weight(i));
   MC_SPAN("passive/solve");
   MC_LATENCY("mc.lat.passive_solve");
   MC_HISTOGRAM("passive.points", n);
@@ -59,8 +65,7 @@ PassiveSolveResult SolvePassiveWeighted(const WeightedPointSet& set,
   std::vector<size_t> active;
   {
     MC_SPAN("passive/contending");
-    active = ComputeContending(set.points(), set.labels(), options.parallel)
-                 .contending;
+    active = ComputeContending(set.points(), set.labels()).contending;
     result.num_contending = active.size();
     if (!options.reduce_to_contending) {
       active.resize(n);

@@ -2,10 +2,9 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Theorem 4: exact passive weighted monotone classification in
-// O(d n^2) + T_maxflow(n) time. At d = 2 the quadratic passes (the
-// contending scan, the Lemma 16 check and generator pruning) are
-// O(n log n) sweeps, so the solve costs the network build plus
-// T_maxflow(n) on top of O(n log n).
+// O(d n^2) + T_maxflow(n) time. The dominance passes (the contending
+// points, the Lemma 16 check and generator pruning) query a
+// DominanceFrontier (core/dominance.h), O(n log n) at d = 2.
 //
 // Pipeline (paper Section 5.1):
 //   1. restrict to the contending points P^con (Lemma 15);
@@ -47,13 +46,11 @@ struct PassiveSolveOptions {
   // points.
   PassiveNetworkBuild network = PassiveNetworkBuild::kAuto;
   size_t sparse_auto_threshold = 1024;
-  // Parallelism for the O(n^2) phases: the contending scan (at d != 2;
-  // the d = 2 sweep runs serially on the caller's thread) and the
-  // dominance-edge construction. Both are row-partitioned with
-  // per-shard buffers concatenated in shard order, so the network (and
-  // hence the classifier) is bit-identical to the serial build at any
-  // thread count. threads = 1 forces the exact serial path; 0 =
-  // hardware concurrency. The max-flow solve itself stays serial.
+  // Parallelism for the network build (the dense dominance-edge pass or
+  // the sparse relay wiring), row-partitioned with per-shard buffers
+  // concatenated in shard order, so the network is bit-identical at any
+  // thread count. threads = 1 forces the serial path; 0 = hardware
+  // concurrency. Every other step runs on the caller's thread.
   ParallelOptions parallel;
 };
 
@@ -82,6 +79,10 @@ struct PassiveSolveResult {
 // cold solver and the incremental solver so both networks are built to the
 // same threshold.
 double PassiveInfiniteCapacity(const WeightedPointSet& set);
+
+// Aborts on a weight at or below kFlowEps: max flow counts such a residual
+// as saturated, so the flow would undercount the cut's error (Lemma 17).
+void CheckPassiveWeight(double weight);
 
 // Steps the solver pipeline from an optimal 0/1 assignment to a finished
 // result: builds the monotone classifier (Lemma 16), recomputes the

@@ -34,7 +34,7 @@ IncrementalPassiveSolver::IncrementalPassiveSolver(
   MC_SPAN("inc/bulk_load");
   records_.reserve(initial.size());
   for (size_t i = 0; i < initial.size(); ++i) {
-    MC_CHECK_GT(initial.weight(i), 0.0);
+    CheckPassiveWeight(initial.weight(i));
     points_.Add(initial.point(i));
     records_.push_back(PointRecord{.label = initial.label(i),
                                    .weight = initial.weight(i),
@@ -113,7 +113,7 @@ size_t IncrementalPassiveSolver::Insert(const Point& point, Label label,
   MC_SPAN("inc/insert");
   MC_LATENCY("mc.lat.inc_delta");
   MC_CHECK_LE(label, 1);
-  MC_CHECK_GT(weight, 0.0);
+  CheckPassiveWeight(weight);
   const size_t id = records_.size();
   points_.Add(point);
   records_.push_back(PointRecord{.label = label, .weight = weight,
@@ -590,7 +590,7 @@ AuditResult IncrementalPassiveSolver::AuditCertificate() const {
 void IncrementalPassiveSolver::InitConflictCounts() {
   const size_t n = records_.size();
   if (points_.dimension() == 2) {
-    // The ComputeContending sweep, counting instead of marking: a Fenwick
+    // A sweep in (x, y) order that counts conflicts: a Fenwick
     // tree over y ranks holds the points folded so far, so a label-0
     // point's count is the folded label-1 points at y' <= y (ascending
     // x), and a label-1 point's count is the folded label-0 points at
@@ -627,7 +627,6 @@ void IncrementalPassiveSolver::InitConflictCounts() {
         PointRecord& record = records_[order[k]];
         if (record.label == 0) record.conflicts = count_at_most(rank(order[k]));
       }
-      return true;
     });
     // Reversed ranks turn "y' >= y" into a prefix count.
     std::fill(tree.begin(), tree.end(), size_t{0});
@@ -642,7 +641,6 @@ void IncrementalPassiveSolver::InitConflictCounts() {
           record.conflicts = count_at_most(m - 1 - rank(order[k]));
         }
       }
-      return true;
     });
     MC_COUNTER("mc.dom.sweep_points", order.size());
     return;

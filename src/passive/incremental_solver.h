@@ -3,10 +3,9 @@
 //
 // Incremental warm-start passive solving with delta-audited flow repair.
 //
-// SolvePassiveWeighted answers one snapshot; serving-shaped workloads
-// (ROADMAP item 2) see a *stream* of inserts, deletes and label
-// corrections, and re-running the O(d n^2) + max-flow pipeline per delta
-// wastes almost all of its work: the Lemma 15 contending reduction is
+// SolvePassiveWeighted answers one snapshot; serving-shaped workloads see
+// a *stream* of inserts, deletes and label corrections, and re-running
+// the cold pipeline per delta wastes almost all of its work: the Lemma 15 contending reduction is
 // naturally incremental -- a delta only perturbs its own dominance
 // neighborhood. IncrementalPassiveSolver keeps the whole pipeline alive
 // between deltas:
@@ -98,12 +97,13 @@ class IncrementalPassiveSolver {
   explicit IncrementalPassiveSolver(IncrementalSolveOptions options = {});
   // Bulk-loads `initial` (ids 0..initial.size()-1) and cold-solves once.
   // Counting the conflicts takes O(n log n) at d = 2 and O(d n^2)
-  // otherwise.
+  // otherwise. Every weight must exceed kFlowEps (CheckPassiveWeight).
   explicit IncrementalPassiveSolver(const WeightedPointSet& initial,
                                     IncrementalSolveOptions options = {});
 
   // Appends a live point and repairs the solution. Returns the point's
-  // id; ids are dense, stable and never reused.
+  // id; ids are dense, stable and never reused. `weight` must exceed
+  // kFlowEps (CheckPassiveWeight).
   size_t Insert(const Point& point, Label label, double weight = 1.0);
 
   // Removes a live point (id keeps addressing its slot but turns dead).

@@ -186,19 +186,22 @@ TEST(ErrorsTest, WeightedErrorUsesWeights) {
   EXPECT_DOUBLE_EQ(WeightedError(h, set), 15.0);
 }
 
-// WeightedError's d = 2 staircase must equal the per-generator loop bit
-// for bit: same terms, same order.
+// WeightedError classifies through the generators' frontier; it must
+// equal a loop over the generators bit for bit: same terms, same order.
 double LoopWeightedError(const MonotoneClassifier& h,
                          const WeightedPointSet& set) {
   double error = 0.0;
   for (size_t i = 0; i < set.size(); ++i) {
-    const Label predicted = h.Classify(set.point(i)) ? 1 : 0;
-    if (predicted != set.label(i)) error += set.weight(i);
+    bool positive = false;
+    for (const Point& g : h.generators()) {
+      positive = positive || DominatesEq(set.point(i), g);
+    }
+    if ((positive ? 1 : 0) != set.label(i)) error += set.weight(i);
   }
   return error;
 }
 
-TEST(WeightedErrorStaircaseTest, TiesSignedZerosAndTheBottomGenerator) {
+TEST(WeightedErrorFrontierTest, TiesSignedZerosAndTheBottomGenerator) {
   WeightedPointSet set;
   set.Add(Point{1, 1}, 1, 0.1);      // on a generator: 1
   set.Add(Point{1, 0.5}, 1, 0.2);    // same x, below it: 0
@@ -218,7 +221,7 @@ TEST(WeightedErrorStaircaseTest, TiesSignedZerosAndTheBottomGenerator) {
   EXPECT_EQ(WeightedError(nothing, set), LoopWeightedError(nothing, set));
 }
 
-TEST(WeightedErrorStaircaseTest, NonMinimalGeneratorInput) {
+TEST(WeightedErrorFrontierTest, NonMinimalGeneratorInput) {
   // Dominated generators, duplicates and a -inf generator among finite
   // ones: the classifier is their upward closure either way.
   WeightedPointSet set;
@@ -236,29 +239,54 @@ TEST(WeightedErrorStaircaseTest, NonMinimalGeneratorInput) {
   }
 }
 
-TEST(WeightedErrorStaircaseTest, MatchesLoopOnRandomGrids) {
+TEST(WeightedErrorFrontierTest, OneAndThreeDimensions) {
+  WeightedPointSet line;
+  line.Add(Point{-0.0}, 1, 0.5);  // ties the generator at 0.0: 1
+  line.Add(Point{-1}, 1, 0.25);
+  line.Add(Point{2}, 0, 2.0);
+  const auto threshold = MonotoneClassifier::FromGenerators(
+      {Point{3}, Point{0.0}, Point{0.0}}, 1);
+  EXPECT_EQ(WeightedError(threshold, line), LoopWeightedError(threshold, line));
+  EXPECT_DOUBLE_EQ(WeightedError(threshold, line), 0.25 + 2.0);
+
+  WeightedPointSet space;
+  space.Add(Point{1, 1, 1}, 1, 0.1);
+  space.Add(Point{1, 0, 1}, 0, 0.2);   // equal x and z, below in y
+  space.Add(Point{-0.0, 2, 2}, 0, 0.4);
+  space.Add(Point{5, 5, -5}, 1, 0.8);
+  for (const std::vector<Point>& generators :
+       {std::vector<Point>{Point{1, 1, 0}, Point{0.0, 2, 2}, Point{1, 1, 0}},
+        std::vector<Point>{Point{kInf, 0, 0}, Point{-kInf, -kInf, -kInf}}}) {
+    const auto h = MonotoneClassifier::FromGenerators(generators, 3);
+    EXPECT_EQ(WeightedError(h, space), LoopWeightedError(h, space));
+  }
+}
+
+TEST(WeightedErrorFrontierTest, MatchesLoopOnRandomGrids) {
   Rng rng(307);
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto coord = [&rng] {
-      const double c = static_cast<double>(rng.UniformInt(5)) - 2.0;
-      return c == 0.0 && rng.UniformInt(2) == 0 ? -0.0 : c;
-    };
-    WeightedPointSet set;
-    const size_t n = 1 + rng.UniformInt(40);
-    for (size_t i = 0; i < n; ++i) {
-      const double x = coord();
-      set.Add(Point{x, coord()}, static_cast<Label>(rng.UniformInt(2)),
-              rng.UniformDoubleInRange(0.01, 3.0));
+  for (size_t d = 1; d <= 4; ++d) {
+    for (int trial = 0; trial < 150; ++trial) {
+      const auto point = [&rng, d] {
+        std::vector<double> coords(d);
+        for (double& c : coords) {
+          c = static_cast<double>(rng.UniformInt(5)) - 2.0;
+          if (c == 0.0 && rng.UniformInt(2) == 0) c = -0.0;
+        }
+        return Point(std::move(coords));
+      };
+      WeightedPointSet set;
+      const size_t n = 1 + rng.UniformInt(40);
+      for (size_t i = 0; i < n; ++i) {
+        set.Add(point(), static_cast<Label>(rng.UniformInt(2)),
+                rng.UniformDoubleInRange(0.01, 3.0));
+      }
+      std::vector<Point> generators;
+      const size_t g = rng.UniformInt(6);
+      for (size_t i = 0; i < g; ++i) generators.push_back(point());
+      const auto h = MonotoneClassifier::FromGenerators(generators, d);
+      EXPECT_EQ(WeightedError(h, set), LoopWeightedError(h, set))
+          << "d " << d << ", trial " << trial;
     }
-    std::vector<Point> generators;
-    const size_t g = rng.UniformInt(6);
-    for (size_t i = 0; i < g; ++i) {
-      const double x = coord();
-      generators.push_back(Point{x, coord()});
-    }
-    const auto h = MonotoneClassifier::FromGenerators(generators, 2);
-    EXPECT_EQ(WeightedError(h, set), LoopWeightedError(h, set))
-        << "trial " << trial;
   }
 }
 
@@ -271,16 +299,17 @@ TEST(MonotoneAssignmentTest, AuditsDominancePairs) {
 }
 
 // ---------------------------------------------------------------------
-// d = 2: IsMonotoneAssignment and MinimalGenerators are sweeps; the
-// *Scan functions are the pairwise references they must match.
+// IsMonotoneAssignment and MinimalGenerators read the dominance frontier;
+// the *Scan functions are the pairwise references they must match in
+// every dimension.
 
-void ExpectMonotoneSweepMatchesScan(const PointSet& points,
+void ExpectMonotoneFrontierMatchesScan(const PointSet& points,
                                     const std::vector<Label>& values) {
   EXPECT_EQ(IsMonotoneAssignment(points, values),
             IsMonotoneAssignmentScan(points, values));
 }
 
-TEST(MonotoneAssignmentSweepTest, EqualXAndEqualYTies) {
+TEST(MonotoneAssignmentFrontierTest, EqualXAndEqualYTies) {
   const PointSet column({Point{1, 2}, Point{1, 1}});
   EXPECT_FALSE(IsMonotoneAssignment(column, {0, 1}));
   EXPECT_TRUE(IsMonotoneAssignment(column, {1, 0}));
@@ -289,12 +318,12 @@ TEST(MonotoneAssignmentSweepTest, EqualXAndEqualYTies) {
   EXPECT_TRUE(IsMonotoneAssignment(row, {1, 0}));
   for (const std::vector<Label>& values :
        {std::vector<Label>{0, 1}, std::vector<Label>{1, 0}}) {
-    ExpectMonotoneSweepMatchesScan(column, values);
-    ExpectMonotoneSweepMatchesScan(row, values);
+    ExpectMonotoneFrontierMatchesScan(column, values);
+    ExpectMonotoneFrontierMatchesScan(row, values);
   }
 }
 
-TEST(MonotoneAssignmentSweepTest, CoordinateEqualPointsAndSignedZeros) {
+TEST(MonotoneAssignmentFrontierTest, CoordinateEqualPointsAndSignedZeros) {
   const PointSet equal({Point{1, 1}, Point{1, 1}});
   EXPECT_FALSE(IsMonotoneAssignment(equal, {1, 0}));
   EXPECT_FALSE(IsMonotoneAssignment(equal, {0, 1}));
@@ -302,10 +331,10 @@ TEST(MonotoneAssignmentSweepTest, CoordinateEqualPointsAndSignedZeros) {
   const PointSet zeros({Point{-0.0, 0.0}, Point{0.0, -0.0}});
   EXPECT_FALSE(IsMonotoneAssignment(zeros, {1, 0}));
   EXPECT_FALSE(IsMonotoneAssignment(zeros, {0, 1}));
-  ExpectMonotoneSweepMatchesScan(zeros, {1, 0});
+  ExpectMonotoneFrontierMatchesScan(zeros, {1, 0});
 }
 
-TEST(MonotoneAssignmentSweepTest, SinglePointAndSingleValue) {
+TEST(MonotoneAssignmentFrontierTest, SinglePointAndSingleValue) {
   EXPECT_TRUE(IsMonotoneAssignment(PointSet({Point{3, 4}}), {0}));
   EXPECT_TRUE(IsMonotoneAssignment(PointSet({Point{3, 4}}), {1}));
   const PointSet points({Point{0, 0}, Point{1, 1}, Point{1, 1}, Point{2, 0}});
@@ -313,7 +342,54 @@ TEST(MonotoneAssignmentSweepTest, SinglePointAndSingleValue) {
   EXPECT_TRUE(IsMonotoneAssignment(points, {1, 1, 1, 1}));
 }
 
-TEST(MinimalGeneratorsSweepTest, DuplicatesKeepTheFirstInInputOrder) {
+TEST(MonotoneAssignmentFrontierTest, OneAndThreeDimensions) {
+  const PointSet line({Point{1}, Point{-0.0}, Point{0.0}, Point{2}});
+  EXPECT_TRUE(IsMonotoneAssignment(line, {1, 0, 0, 1}));
+  EXPECT_FALSE(IsMonotoneAssignment(line, {1, 1, 0, 1}));  // -0.0 == 0.0
+  EXPECT_FALSE(IsMonotoneAssignment(line, {0, 1, 0, 0}));
+  // Equal y and z; (1, 2, 2) and (1, 2, 2) are duplicates.
+  const PointSet space({Point{1, 2, 2}, Point{0, 2, 2}, Point{1, 2, 2},
+                        Point{-0.0, 2, 2}, Point{3, 2, 2}});
+  EXPECT_FALSE(IsMonotoneAssignment(space, {1, 0, 0, 0, 1}));
+  EXPECT_TRUE(IsMonotoneAssignment(space, {1, 0, 1, 0, 1}));
+  EXPECT_FALSE(IsMonotoneAssignment(space, {0, 1, 1, 0, 1}));  // 3 == 1
+  for (const std::vector<Label>& values :
+       {std::vector<Label>{1, 0, 0, 1}, std::vector<Label>{1, 1, 0, 1},
+        std::vector<Label>{0, 1, 0, 0}}) {
+    ExpectMonotoneFrontierMatchesScan(line, values);
+  }
+  for (const std::vector<Label>& values :
+       {std::vector<Label>{1, 0, 0, 0, 1}, std::vector<Label>{1, 0, 1, 0, 1},
+        std::vector<Label>{0, 1, 1, 0, 1}}) {
+    ExpectMonotoneFrontierMatchesScan(space, values);
+  }
+}
+
+TEST(MinimalGeneratorsFrontierTest, OneAndThreeDimensions) {
+  const std::vector<Point> line = {Point{2}, Point{0.0}, Point{-0.0},
+                                   Point{kInf}};
+  const std::vector<Point> minimal_line = MinimalGenerators(line);
+  ASSERT_EQ(minimal_line, (std::vector<Point>{Point{0.0}}));
+  EXPECT_FALSE(std::signbit(minimal_line[0][0]));
+  EXPECT_EQ(minimal_line, MinimalGeneratorsScan(line));
+  // (1, 1, 0) twice, (1, 0, 1) on the same x, (-0.0, 2, 2) after
+  // (0.0, 2, 2), and an infinite corner that dominates nothing finite.
+  const std::vector<Point> space = {
+      Point{1, 1, 0},   Point{-0.0, 2, 2}, Point{1, 0, 1}, Point{1, 1, 0},
+      Point{0.0, 2, 2}, Point{2, 2, 2},    Point{-kInf, kInf, 0}};
+  const std::vector<Point> minimal = MinimalGenerators(space);
+  ASSERT_EQ(minimal, (std::vector<Point>{Point{1, 1, 0}, Point{-0.0, 2, 2},
+                                         Point{1, 0, 1},
+                                         Point{-kInf, kInf, 0}}));
+  EXPECT_TRUE(std::signbit(minimal[1][0]));
+  EXPECT_EQ(minimal, MinimalGeneratorsScan(space));
+  const std::vector<Point> bottom = {Point{1, 1, 1},
+                                     Point{-kInf, -kInf, -kInf}};
+  EXPECT_EQ(MinimalGenerators(bottom),
+            (std::vector<Point>{Point{-kInf, -kInf, -kInf}}));
+}
+
+TEST(MinimalGeneratorsFrontierTest, DuplicatesKeepTheFirstInInputOrder) {
   // (3, 0) and (0, 3) survive; of the duplicate pair at (1, 1), the first.
   // -0.0 and 0.0 are one coordinate, so (-0.0, 2) duplicates (0.0, 2) and
   // only the first, with its own bit pattern, survives.
@@ -327,7 +403,7 @@ TEST(MinimalGeneratorsSweepTest, DuplicatesKeepTheFirstInInputOrder) {
   EXPECT_EQ(minimal, MinimalGeneratorsScan(generators));
 }
 
-TEST(MinimalGeneratorsSweepTest, MinusInfinityGeneratesEverything) {
+TEST(MinimalGeneratorsFrontierTest, MinusInfinityGeneratesEverything) {
   const std::vector<Point> generators = {Point{1, 1}, Point{-kInf, -kInf},
                                          Point{-kInf, -kInf}, Point{0, kInf}};
   const std::vector<Point> minimal = MinimalGenerators(generators);
@@ -337,29 +413,33 @@ TEST(MinimalGeneratorsSweepTest, MinusInfinityGeneratesEverything) {
   EXPECT_TRUE(MinimalGenerators({}).empty());
 }
 
-TEST(ClassifierSweepTest, MatchesScansOnRandomGridSets) {
+TEST(ClassifierFrontierTest, MatchesScansOnRandomGridSets) {
   Rng rng(101);
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t n = 1 + rng.UniformInt(30);
-    std::vector<Point> points;
-    std::vector<Label> values;
-    for (size_t i = 0; i < n; ++i) {
-      const auto coord = [&rng] {
-        const double c = static_cast<double>(rng.UniformInt(4)) - 1.0;
-        return c == 0.0 && rng.UniformInt(2) == 0 ? -0.0 : c;
-      };
-      const double x = coord();
-      points.push_back(Point{x, coord()});
-      values.push_back(static_cast<Label>(rng.UniformInt(2)));
-    }
-    SCOPED_TRACE(::testing::Message() << "trial " << trial);
-    ExpectMonotoneSweepMatchesScan(PointSet(points), values);
-    const std::vector<Point> minimal = MinimalGenerators(points);
-    const std::vector<Point> reference = MinimalGeneratorsScan(points);
-    ASSERT_EQ(minimal, reference);
-    for (size_t i = 0; i < minimal.size(); ++i) {
-      EXPECT_EQ(std::signbit(minimal[i][0]), std::signbit(reference[i][0]));
-      EXPECT_EQ(std::signbit(minimal[i][1]), std::signbit(reference[i][1]));
+  for (size_t d = 1; d <= 4; ++d) {
+    for (int trial = 0; trial < 150; ++trial) {
+      const size_t n = 1 + rng.UniformInt(30);
+      std::vector<Point> points;
+      std::vector<Label> values;
+      for (size_t i = 0; i < n; ++i) {
+        std::vector<double> coords(d);
+        for (double& c : coords) {
+          c = static_cast<double>(rng.UniformInt(4)) - 1.0;
+          if (c == 0.0 && rng.UniformInt(2) == 0) c = -0.0;
+        }
+        points.emplace_back(std::move(coords));
+        values.push_back(static_cast<Label>(rng.UniformInt(2)));
+      }
+      SCOPED_TRACE(::testing::Message() << "d " << d << ", trial " << trial);
+      ExpectMonotoneFrontierMatchesScan(PointSet(points), values);
+      const std::vector<Point> minimal = MinimalGenerators(points);
+      const std::vector<Point> reference = MinimalGeneratorsScan(points);
+      ASSERT_EQ(minimal, reference);
+      for (size_t i = 0; i < minimal.size(); ++i) {
+        for (size_t k = 0; k < d; ++k) {
+          EXPECT_EQ(std::signbit(minimal[i][k]),
+                    std::signbit(reference[i][k]));
+        }
+      }
     }
   }
 }

@@ -249,26 +249,43 @@ TEST_F(ServerTest, UnknownPassiveAlgorithmGetsErrorReply) {
   }
 }
 
-TEST_F(ServerTest, ZeroWeightPassiveRequestGetsErrorReply) {
-  // A zero weight must get a typed error and leave the server serving;
-  // reaching WeightedPointSet::Add would abort the daemon.
-  const LabeledPointSet instance = MakeInstance(2, 3);
-  PassiveSolveRequest request = MakePassiveRequest(instance);
-  request.weights = {1.0, 0.0};
-  try {
-    client_.PassiveSolve(request);
-    FAIL() << "expected WireError";
-  } catch (const WireError& error) {
-    const std::string expected =
-        "server error " +
-        std::to_string(static_cast<uint32_t>(WireErrorCode::kBadRequest)) +
-        ": bad weight";
-    EXPECT_EQ(std::string(error.what()), expected);
+TEST_F(ServerTest, BadWeightPassiveRequestGetsErrorReply) {
+  // A zero weight, or one at or below kFlowEps = 1e-9, must get a typed
+  // error and leave the server serving: reaching WeightedPointSet::Add
+  // (zero) or the solver's Lemma 17 cross-check (2 000 label-1 points of
+  // weight 1e-9 under one label-0 point of weight 1, whose sink edges max
+  // flow counts as saturated) would abort the daemon.
+  PassiveSolveRequest zero = MakePassiveRequest(MakeInstance(2, 3));
+  zero.weights = {1.0, 0.0};
+  PassiveSolveRequest dust;
+  dust.points.Add(Point{1, 1});
+  dust.labels.push_back(0);
+  dust.weights.push_back(1.0);
+  for (size_t k = 0; k < 2000; ++k) {
+    const double x = 0.5 * static_cast<double>(k) / 2000.0;
+    dust.points.Add(Point{x, 0.5 - x});
+    dust.labels.push_back(1);
+    dust.weights.push_back(1e-9);
   }
-  Client fresh;
-  ASSERT_TRUE(fresh.Connect("127.0.0.1", server_->port()));
-  EXPECT_EQ(fresh.Ping(11), 11u);
-  fresh.Disconnect();
+  for (const PassiveSolveRequest* request : {&zero, &dust}) {
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()));
+    try {
+      client.PassiveSolve(*request);
+      FAIL() << "expected WireError";
+    } catch (const WireError& error) {
+      const std::string expected =
+          "server error " +
+          std::to_string(static_cast<uint32_t>(WireErrorCode::kBadRequest)) +
+          ": bad weight";
+      EXPECT_EQ(std::string(error.what()), expected);
+    }
+    // A refused request closes its connection; the server answers the next.
+    Client fresh;
+    ASSERT_TRUE(fresh.Connect("127.0.0.1", server_->port()));
+    EXPECT_EQ(fresh.Ping(11), 11u);
+    fresh.Disconnect();
+  }
 }
 
 TEST_F(ServerTest, StatsReportServerCounters) {

@@ -166,16 +166,17 @@ TEST(WireMessageTest, PassiveSolveRequestRejectsBadLabel) {
 }
 
 TEST(WireMessageTest, PassiveSolveRequestRejectsNonPositiveWeight) {
-  // WeightedPointSet requires weight > 0, so a zero weight -- either
-  // sign -- must fail decoding rather than reach the solver.
-  for (const double zero : {0.0, -0.0}) {
+  // The passive solvers refuse weights at or below kFlowEps = 1e-9, so a
+  // zero weight -- either sign -- and a weight at the floor must fail
+  // decoding rather than reach the solver.
+  for (const double bad : {0.0, -0.0, 1e-9}) {
     PassiveSolveRequest request;
     request.points = SmallPoints();
     request.labels = {1, 0, 1};
-    request.weights = {1.0, zero, 0.5};
+    request.weights = {1.0, bad, 0.5};
     WireStream s;
     request.Serialize(s);
-    EXPECT_THROW(PassiveSolveRequest::Unserialize(s), WireError) << zero;
+    EXPECT_THROW(PassiveSolveRequest::Unserialize(s), WireError) << bad;
   }
 }
 

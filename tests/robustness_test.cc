@@ -7,14 +7,17 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "active/multi_d.h"
 #include "active/oracle.h"
 #include "core/antichain.h"
+#include "graph/graph.h"
 #include "passive/brute_force.h"
 #include "passive/flow_solver.h"
+#include "passive/incremental_solver.h"
 #include "util/random.h"
 
 namespace monoclass {
@@ -135,13 +138,46 @@ TEST(RobustnessTest, ActiveSolverOnAntichain) {
   EXPECT_EQ(CountErrors(result.classifier, set), 0u);
 }
 
-TEST(RobustnessTest, DenormalWeightsSurviveTheSolver) {
+// One label-0 point of weight 1 above n label-1 points of weight
+// `light` on the antichain x + y = 0.5: the optimum gives every point 0
+// and costs n * light, which the flow must carry edge by edge.
+WeightedPointSet HeavyPointAboveLightAntichain(size_t n, double light) {
   WeightedPointSet set;
-  set.Add(Point{0, 0}, 1, 1e-308);
   set.Add(Point{1, 1}, 0, 1.0);
-  const auto result = SolvePassiveWeighted(set);
-  // The denormal-weight error should be preferred.
-  EXPECT_LE(result.optimal_weighted_error, 1e-300);
+  for (size_t k = 0; k < n; ++k) {
+    const double x = 0.5 * static_cast<double>(k) / static_cast<double>(n);
+    set.Add(Point{x, 0.5 - x}, 1, light);
+  }
+  return set;
+}
+
+TEST(RobustnessTest, WeightsAtOrBelowTheFlowToleranceAreRefused) {
+  // The max-flow solvers count a residual at or below kFlowEps as
+  // saturated. With 1e-9 weights every sink edge would look saturated, the
+  // flow would stay 0 while the cut classifier's error is 2e-6, and the
+  // Lemma 17 cross-check would abort mid-solve, so such weights (and
+  // denormal ones) are refused up front.
+  EXPECT_DEATH(SolvePassiveWeighted(HeavyPointAboveLightAntichain(2000, 1e-9)),
+               "kFlowEps");
+  WeightedPointSet denormal;
+  denormal.Add(Point{0, 0}, 1, 1e-308);
+  denormal.Add(Point{1, 1}, 0, 1.0);
+  EXPECT_DEATH(SolvePassiveWeighted(denormal), "kFlowEps");
+  EXPECT_DEATH(IncrementalPassiveSolver{denormal}, "kFlowEps");
+  EXPECT_DEATH(
+      {
+        IncrementalPassiveSolver solver;
+        solver.Insert(Point{0, 0}, 1, kFlowEps);
+      },
+      "kFlowEps");
+}
+
+TEST(RobustnessTest, WeightsJustAboveTheFlowToleranceSolveExactly) {
+  const size_t n = 20000;
+  const WeightedPointSet set = HeavyPointAboveLightAntichain(n, 1.01e-9);
+  const PassiveSolveResult result = SolvePassiveWeighted(set);
+  EXPECT_NEAR(result.optimal_weighted_error, 1.01e-9 * n, 1e-12);
+  EXPECT_EQ(result.assignment, std::vector<Label>(n + 1, 0));
 }
 
 TEST(RobustnessTest, AdjacentCoordinatesDistinguished) {
